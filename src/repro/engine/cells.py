@@ -135,17 +135,19 @@ def run_cell(cell: SimCell, store=None) -> CellResult:
             "input": cell.input_name,
             "kind": cell.kind,
         },
-    ):
+    ) as span:
         started = time.perf_counter()
         trace = store.get(cell.workload, cell.input_name)
-        result = _simulate(cell, trace)
+        result = _simulate(cell, trace, span)
         _record_cell_metrics(len(trace.records), time.perf_counter() - started)
     return result
 
 
-def _simulate(cell: SimCell, trace) -> CellResult:
+def _simulate(cell: SimCell, trace, span=None) -> CellResult:
     """Dispatch one cell to its simulator (the observable unit of
-    :func:`run_cell`; callers go through ``run_cell``, never here)."""
+    :func:`run_cell`; callers go through ``run_cell``, never here).
+    ``span`` is the cell's ``engine.cell`` span (``None`` when tracing
+    is off); dispatch labels it with the replay path taken."""
     from repro.analysis import sanitize
     from repro.kernels import dispatch
 
@@ -153,7 +155,7 @@ def _simulate(cell: SimCell, trace) -> CellResult:
     sanitizing = sanitize.enabled()
 
     if cell.kind == "baseline":
-        stats = dispatch.try_baseline_stats(trace, geometry)
+        stats = dispatch.try_baseline_stats(trace, geometry, span)
         if stats is not None:
             return CellResult(cell=cell, stats=stats.as_dict())
         if geometry.ways == 1:
@@ -172,7 +174,11 @@ def _simulate(cell: SimCell, trace) -> CellResult:
         from repro.fvc.system import FvcSystem
 
         replayed = dispatch.try_fvc_replay(
-            trace, geometry, cell.fvc_entries, encoder_for(trace, cell.top_values)
+            trace,
+            geometry,
+            cell.fvc_entries,
+            encoder_for(trace, cell.top_values),
+            span,
         )
         if replayed is not None:
             stats, extras = replayed
@@ -203,7 +209,9 @@ def _simulate(cell: SimCell, trace) -> CellResult:
     if cell.kind == "classify":
         from repro.cache.classify import classify_misses
 
-        result = classify_misses(trace.records, geometry)
+        result = dispatch.try_classify(trace, geometry, span)
+        if result is None:
+            result = classify_misses(trace.records, geometry)
         if sanitizing:
             _sanitize_check(
                 cell,

@@ -111,8 +111,8 @@ def fvc_miss_stats(
     """Miss statistics of the cache + FVC system when the simulated
     system itself is not needed afterwards — the kernel-eligible path.
 
-    Only the default configuration is in the kernels' proven envelope;
-    any custom ``config`` (and any kernel decline) replays the oracle.
+    The native core transliterates the default configuration only; any
+    custom ``config`` (and any decline) replays the oracle.
     """
     if config is None:
         replayed = dispatch.try_fvc_replay(

@@ -1,26 +1,31 @@
-"""Vectorized simulation kernels behind the ``REPRO_BACKEND`` switch.
+"""The fast replay path behind the ``REPRO_BACKEND`` switch.
 
 The pure-Python simulators in :mod:`repro.cache` and :mod:`repro.fvc`
 are the *oracle*: they define the semantics, record by record.  This
-package provides numpy-vectorized kernels for the hot models — the
-direct-mapped baseline, the set-associative baseline, the DMC+FVC
-system, and the two-level hierarchy's L1 filter — that produce
-**byte-identical statistics** to the oracle while replaying traces as
-columnar array operations instead of per-record tuple dispatch.
+package replays the hot models faster with **identical statistics**:
+
+* :mod:`repro.kernels.native` — a small compiled C core
+  (``replay.c``, built on first use) that transliterates the oracle's
+  record loops for the direct-mapped and set-associative baselines,
+  the DMC+FVC system and 3C miss classification;
+* :mod:`repro.kernels.hierarchy` — the two-level hierarchy's L1
+  filter as a numpy miss stream;
+* :mod:`repro.kernels.columnar` — the shared per-trace numpy columns
+  the others read, and value profiling.
 
 Backend selection (:mod:`repro.kernels.backend`):
 
 * ``REPRO_BACKEND=python`` — always the oracle;
-* ``REPRO_BACKEND=numpy`` — kernels where supported (error if numpy is
-  not importable);
-* ``REPRO_BACKEND=auto`` / unset — kernels when numpy is importable,
-  oracle otherwise.
+* ``REPRO_BACKEND=numpy`` — the fast path where supported (error if
+  numpy is not importable);
+* ``REPRO_BACKEND=auto`` / unset — the fast path when numpy is
+  importable, oracle otherwise.
 
-Kernels never change results: every kernel either reproduces the
-oracle's counters exactly for the configuration it supports, or
-declines (returns ``None``) and the caller replays the oracle.  The
-dual-run regression suite (``tests/kernels/``) holds that contract for
-every experiment payload; ``docs/PERFORMANCE.md`` documents it.
+The fast path never changes results: each cell either replays on it
+with the oracle's counters, or declines with a named reason
+(:mod:`repro.kernels.dispatch`) and the caller replays the oracle.
+The dual-run regression suite (``tests/kernels/``) holds that contract
+for every experiment payload; ``docs/PERFORMANCE.md`` documents it.
 """
 
 from __future__ import annotations

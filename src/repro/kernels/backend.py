@@ -10,8 +10,8 @@ Values:
 
 ======== =======================================================
 python   always the pure-Python oracle simulators
-numpy    vectorized kernels (error when numpy is not importable)
-auto     kernels when numpy imports, oracle otherwise (default)
+numpy    the fast path (error when numpy is not importable)
+auto     the fast path when numpy imports, oracle otherwise (default)
 ======== =======================================================
 """
 
@@ -83,5 +83,5 @@ def active_backend() -> str:
 
 
 def backend_is_numpy() -> bool:
-    """Whether the vectorized kernels should be attempted."""
+    """Whether the fast path should be attempted."""
     return active_backend() == "numpy"

@@ -1,18 +1,29 @@
-"""Backend dispatch: the one place oracle call sites try a kernel.
+"""Backend dispatch: the one place oracle call sites try the fast path.
 
-A kernel runs only when all three gates open:
+Baseline, FVC and 3C-classify cells replay on the compiled core
+(:mod:`repro.kernels.native`) when every gate opens; each early return
+below names the reason the oracle serves the cell instead:
 
-* the resolved backend is ``numpy`` (:mod:`repro.kernels.backend`);
-* the runtime sanitizer is off — its checks audit the oracle's
-  per-access behaviour, which a bulk kernel never exhibits, so
-  ``REPRO_SANITIZE=1`` always replays the oracle;
-* the kernel supports the configuration and trace (otherwise it
-  returns ``None``/``False`` itself).
+====================== ==============================================
+``sanitize``           ``REPRO_SANITIZE=1`` — its checks audit the
+                       oracle's per-access behaviour, so it always
+                       replays the oracle
+``no_compiler``        no C compiler to build the core with
+``build_failed``       the build, or loading its library, failed
+``out_of_range``       the trace has records outside the 32-bit domain
+``unsupported_config`` a configuration the core does not transliterate
+                       (a non-power-of-two FVC, which the oracle
+                       rejects too)
+====================== ==============================================
 
-Every decline falls back to the oracle, so the backend switch changes
-time, never numbers.  Dispatch outcomes feed the opt-in metrics
-registry (``kernel_replays_total`` / ``kernel_declines_total`` /
-``kernel_replay_seconds``) so a run can show which path served it.
+``REPRO_BACKEND=python`` chooses the oracle outright; that is a choice,
+not a decline, so it carries no reason.  The core transliterates the
+oracle's record loops, so the backend switch changes time, never
+numbers.  Dispatch outcomes feed the opt-in metrics registry
+(``kernel_replays_total`` / ``kernel_declines_total`` /
+``kernel_replay_seconds``), and a caller that passes its
+``engine.cell`` span gets the attributes ``path`` (``native`` or
+``oracle``) and ``decline_reason`` on it.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
+from repro.cache.classify import MissClassification
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.fvc.encoding import FrequentValueEncoder
@@ -28,7 +40,7 @@ from repro.trace.trace import Trace
 
 
 def kernels_active() -> bool:
-    """Whether this process should attempt vectorized kernels."""
+    """Whether this process should attempt the fast path."""
     from repro.analysis import sanitize
 
     return backend_is_numpy() and not sanitize.enabled()
@@ -48,23 +60,54 @@ def _record(outcome: str, elapsed: Optional[float] = None) -> None:
         registry.counter("kernel_declines_total").inc()
 
 
-def try_baseline_stats(
-    trace: Trace, geometry: CacheGeometry
-) -> Optional[CacheStats]:
-    """Kernel statistics for a conventional cache, or ``None``."""
-    if not kernels_active():
-        return None
-    from repro.kernels.dmc import dmc_stats
-    from repro.kernels.setassoc import setassoc_stats
+def _gate(trace: Trace, supported: bool):
+    """``(core, None)`` when the native core may replay ``trace``, else
+    ``(None, decline reason)``; the reason is ``None`` when the backend
+    chose the oracle outright."""
+    from repro.analysis import sanitize
+    from repro.kernels import native
+    from repro.kernels.columnar import KernelUnsupported, trace_columns
 
-    started = time.perf_counter()
-    if geometry.ways == 1:
-        stats = dmc_stats(trace, geometry)
-    else:
-        stats = setassoc_stats(trace, geometry)
-    if stats is None:
+    if not backend_is_numpy():
+        return None, None
+    if sanitize.enabled():
+        return None, "sanitize"
+    core, reason = native.load()
+    if core is None:
+        return None, reason
+    if not supported:
+        return None, "unsupported_config"
+    try:
+        in_range = trace_columns(trace).in_range
+    except KernelUnsupported:
+        in_range = False
+    if not in_range:
+        return None, "out_of_range"
+    return core, None
+
+
+def _core(trace: Trace, span, supported: bool = True):
+    """The native core for ``trace``, or ``None``; either way labels
+    ``span`` (an ``engine.cell`` span, or ``None``) with the path."""
+    core, reason = _gate(trace, supported)
+    if core is None and reason not in (None, "sanitize"):
         _record("decline")
+    if span is not None:
+        span.attrs["path"] = "oracle" if core is None else "native"
+        if reason is not None:
+            span.attrs["decline_reason"] = reason
+    return core
+
+
+def try_baseline_stats(
+    trace: Trace, geometry: CacheGeometry, span=None
+) -> Optional[CacheStats]:
+    """Native statistics for a conventional cache, or ``None``."""
+    core = _core(trace, span)
+    if core is None:
         return None
+    started = time.perf_counter()
+    stats = core.baseline(trace, geometry)
     _record("replay", time.perf_counter() - started)
     return stats
 
@@ -74,17 +117,28 @@ def try_fvc_replay(
     geometry: CacheGeometry,
     fvc_entries: int,
     encoder: FrequentValueEncoder,
+    span=None,
 ) -> Optional[Tuple[CacheStats, dict]]:
-    """Kernel statistics + extras for a DMC+FVC cell, or ``None``."""
-    if not kernels_active():
+    """Native statistics + extras for a DMC+FVC cell, or ``None``."""
+    supported = fvc_entries >= 1 and not fvc_entries & (fvc_entries - 1)
+    core = _core(trace, span, supported)
+    if core is None:
         return None
-    from repro.kernels.fvc import fvc_cell_replay
-
     started = time.perf_counter()
-    result = fvc_cell_replay(trace, geometry, fvc_entries, encoder)
-    if result is None:
-        _record("decline")
+    result = core.fvc(trace, geometry, fvc_entries, encoder)
+    _record("replay", time.perf_counter() - started)
+    return result
+
+
+def try_classify(
+    trace: Trace, geometry: CacheGeometry, span=None
+) -> Optional[MissClassification]:
+    """Native 3C classification, or ``None``."""
+    core = _core(trace, span)
+    if core is None:
         return None
+    started = time.perf_counter()
+    result = core.classify(trace, geometry)
     _record("replay", time.perf_counter() - started)
     return result
 

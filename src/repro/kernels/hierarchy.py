@@ -4,8 +4,8 @@ The L2 only ever sees the L1's miss stream — one read per fill plus one
 write per dirty victim — and for a direct-mapped L1 that stream is a
 closed-form run reduction (:mod:`repro.kernels.dmc`).  So instead of
 replaying every processor access through two Python simulators, the
-kernel computes the L1's statistics in numpy and replays only the
-(small) time-ordered miss stream through the system's own
+kernel derives the L1's statistics from the stream in numpy and
+replays only the (small) time-ordered miss stream through the system's own
 :class:`~repro.cache.setassoc.SetAssociativeCache` L2 — the identical
 object the oracle composition drives, so the L2 statistics are
 byte-identical by construction.
@@ -19,7 +19,8 @@ callers that inspect residency afterwards must use the oracle path.
 from __future__ import annotations
 
 from repro.cache.direct import DirectMappedCache
-from repro.kernels.dmc import dmc_miss_stream, dmc_stats
+from repro.cache.stats import CacheStats
+from repro.kernels.dmc import dmc_miss_stream
 from repro.kernels.columnar import trace_columns
 from repro.trace.trace import Trace
 
@@ -38,14 +39,22 @@ def hierarchy_replay(system, trace: Trace) -> bool:
     if system.stats.accesses or system.l2_stats.accesses:
         return False
     geometry = system.l1_geometry
-    stats = dmc_stats(trace, geometry)
-    if stats is None:
-        return False
     stream = dmc_miss_stream(trace, geometry)
     if stream is None:
         return False
     miss_pos, victims = stream
-    addr_list = trace_columns(trace).addrs[miss_pos].tolist()
+    cols = trace_columns(trace)
+    words = geometry.words_per_line
+    stats = CacheStats()
+    stats.read_misses = int((cols.ops[miss_pos] == 0).sum())
+    stats.write_misses = len(miss_pos) - stats.read_misses
+    stats.read_hits = cols.nloads - stats.read_misses
+    stats.write_hits = (cols.n - cols.nloads) - stats.write_misses
+    stats.fills = len(miss_pos)
+    stats.fill_words = stats.fills * words
+    stats.writebacks = int((victims >= 0).sum())
+    stats.writeback_words = stats.writebacks * words
+    addr_list = cols.addrs[miss_pos].tolist()
     victim_list = victims.tolist()
     l2_access = system._l2.access
     shift = geometry.line_shift

@@ -225,6 +225,19 @@ class Tracer:
         if not stack:
             self.flush()
 
+    def after_fork(self) -> None:
+        """Make a forked child's copy of this tracer its own.
+
+        The child keeps its thread's open span stack — so its spans stay
+        parented to the span that forked it — but drops the buffer,
+        whose lines belong to the parent and would be written twice,
+        and replaces the lock, which another parent thread may have
+        held at the fork.  The child's spans close under an inherited
+        open span, so it must :meth:`flush` before it exits.
+        """
+        self._lock = threading.Lock()
+        self._buffer = []
+
     # Output ------------------------------------------------------------
     def flush(self) -> None:
         """Append every buffered span line to the file in one write."""

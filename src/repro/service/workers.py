@@ -53,7 +53,17 @@ def _child_entry(conn, run_spec: SpecRunner, spec: Dict, fault=None) -> None:
     ``worker.child`` injection site (see
     :func:`repro.faults.sites.decide_child_fault`); ``crash`` clauses
     hard-exit here, exercising the pool's crash-containment path.
+
+    Under ``REPRO_OBS_TRACE`` the child's spans (``engine.cell``,
+    ``trace_cache.load``, ...) nest under the parent's open
+    ``worker.job`` span, so no root span closes to flush them: the
+    child flushes its own buffer before it exits.
     """
+    from repro.obs import tracing
+
+    tracer = tracing.active()
+    if tracer is not None:
+        tracer.after_fork()
     try:
         if fault is not None:
             from repro.faults.sites import apply_child_fault
@@ -71,6 +81,8 @@ def _child_entry(conn, run_spec: SpecRunner, spec: Dict, fault=None) -> None:
         except (OSError, ValueError):
             pass
     finally:
+        if tracer is not None:
+            tracer.flush()
         conn.close()
 
 

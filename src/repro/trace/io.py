@@ -251,7 +251,7 @@ def write_trace_compact(trace: Trace, path: PathLike) -> None:
 # The row formats above serialise records interleaved, so every reader
 # pays per-record dispatch to get them back.  The columnar format packs
 # the three fields as contiguous little-endian arrays instead — the
-# exact layout the vectorized kernels (:mod:`repro.kernels`) consume —
+# exact layout the fast path (:mod:`repro.kernels`) consumes —
 # with fixed, computable section offsets so a reader can memory-map a
 # column without touching the others:
 #

@@ -69,6 +69,27 @@ def _isolated_trace_cache(tmp_path_factory):
         os.environ.pop("REPRO_TRACE_CACHE_DIR", None)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_native_cache(tmp_path_factory):
+    """The compiled replay core caches its library under
+    ``$XDG_CACHE_HOME/repro-fvc/native``; point that at a per-session
+    temporary directory so the suite builds its own (and the
+    no-compiler fallback is what runs when ``cc`` is absent)."""
+    saved = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))
+    from repro.kernels import native
+
+    native.reset()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("XDG_CACHE_HOME", None)
+        else:
+            os.environ["XDG_CACHE_HOME"] = saved
+        native.reset()
+
+
 @pytest.fixture(scope="session")
 def store() -> TraceStore:
     """Session-wide trace store over the small test inputs."""

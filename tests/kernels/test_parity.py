@@ -1,15 +1,16 @@
-"""Kernel-vs-oracle parity: the exactness contract of repro.kernels.
+"""Fast-path-vs-oracle parity: the exactness contract of repro.kernels.
 
-Every kernel must reproduce its pure-Python oracle's statistics to the
-last counter on any trace it accepts, and must decline (``None`` /
-``False``) on anything outside its proven envelope so the caller falls
-back to the oracle.
+The native replay core must reproduce its pure-Python oracle's
+statistics to the last counter on every trace it accepts, and dispatch
+must decline (``None`` / ``False``) only with a named reason, so the
+caller falls back to the oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cache.classify import classify_misses
 from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import TwoLevelSystem
@@ -17,17 +18,28 @@ from repro.cache.setassoc import SetAssociativeCache
 from repro.experiments.common import encoder_for
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.system import FvcSystem
-from repro.kernels import backend
-from repro.kernels.dmc import dmc_stats
-from repro.kernels.fvc import fvc_cell_replay
+from repro.kernels import backend, dispatch, native
 from repro.kernels.hierarchy import hierarchy_replay
-from repro.kernels.setassoc import setassoc_stats
 from repro.profiling.access import profile_accessed_values
 from repro.trace.trace import Trace
 
 pytestmark = pytest.mark.skipif(
-    not backend.numpy_available(), reason="vectorized backend needs numpy"
+    not backend.numpy_available(), reason="the fast path needs numpy"
 )
+
+
+@pytest.fixture(scope="module")
+def core():
+    loaded, reason = native.load()
+    if loaded is None:
+        pytest.skip(f"native replay core unavailable ({reason})")
+    return loaded
+
+
+@pytest.fixture
+def numpy_backend(monkeypatch):
+    monkeypatch.setenv(backend.ENV_VAR, "numpy")
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
 def _fvc_oracle(trace, geometry, entries, encoder):
@@ -42,22 +54,27 @@ def _fvc_oracle(trace, geometry, entries, encoder):
     return system.stats.as_dict(), extras
 
 
+def _assert_fvc_parity(core, trace, geometry, entries, encoder):
+    stats, extras = core.fvc(trace, geometry, entries, encoder)
+    oracle_stats, oracle_extras = _fvc_oracle(trace, geometry, entries, encoder)
+    assert stats.as_dict() == oracle_stats
+    assert extras == oracle_extras
+
+
 class TestBaselineParity:
     @pytest.mark.parametrize(
         "size_kb, line_bytes", [(4, 16), (16, 32), (64, 64)]
     )
-    def test_dmc(self, gcc_trace, size_kb, line_bytes):
+    def test_dmc(self, core, gcc_trace, size_kb, line_bytes):
         geometry = CacheGeometry(size_kb * 1024, line_bytes, ways=1)
-        stats = dmc_stats(gcc_trace, geometry)
-        assert stats is not None
+        stats = core.baseline(gcc_trace, geometry)
         oracle = DirectMappedCache(geometry).simulate_batch(gcc_trace.records)
         assert stats.as_dict() == oracle.as_dict()
 
     @pytest.mark.parametrize("ways", [2, 4])
-    def test_setassoc(self, gcc_trace, ways):
+    def test_setassoc(self, core, gcc_trace, ways):
         geometry = CacheGeometry(16 * 1024, 32, ways=ways)
-        stats = setassoc_stats(gcc_trace, geometry)
-        assert stats is not None
+        stats = core.baseline(gcc_trace, geometry)
         oracle = SetAssociativeCache(geometry).simulate_batch(
             gcc_trace.records
         )
@@ -65,37 +82,55 @@ class TestBaselineParity:
 
 
 class TestFvcParity:
-    def test_small_geometry(self, gcc_trace):
+    def test_small_geometry(self, core, gcc_trace):
         geometry = CacheGeometry(4 * 1024, 16, ways=1)
-        encoder = encoder_for(gcc_trace, 3)
-        replayed = fvc_cell_replay(gcc_trace, geometry, 128, encoder)
-        assert replayed is not None
-        stats, extras = replayed
-        oracle_stats, oracle_extras = _fvc_oracle(
-            gcc_trace, geometry, 128, encoder
+        _assert_fvc_parity(
+            core, gcc_trace, geometry, 128, encoder_for(gcc_trace, 3)
         )
-        assert stats.as_dict() == oracle_stats
-        assert extras == oracle_extras
 
-    def test_pending_install_flushed_at_end_of_trace(self, store):
-        # Regression: the kernel resolves installs lazily at the
-        # victim's next touch, but the oracle installs eagerly — a
-        # displacement of a dirty FVC entry near the end of the trace
-        # must still be flushed even though the victim is never touched
-        # again.  compress/test at this geometry ends with 76 such
-        # displacements; before the end-of-group resolve the kernel
-        # undercounted writebacks by exactly that many entries.
+    def test_pending_install_flushed_at_end_of_trace(self, core, store):
+        # compress/test at this geometry ends with 76 displacements of
+        # dirty FVC entries whose victims are never touched again; each
+        # must still be flushed, exactly as the oracle does eagerly.
         trace = store.get("compress", "test")
         geometry = CacheGeometry(16 * 1024, 32, ways=1)
-        encoder = encoder_for(trace, 7)
-        replayed = fvc_cell_replay(trace, geometry, 512, encoder)
-        assert replayed is not None
-        stats, extras = replayed
-        oracle_stats, oracle_extras = _fvc_oracle(
-            trace, geometry, 512, encoder
+        _assert_fvc_parity(core, trace, geometry, 512, encoder_for(trace, 7))
+
+    @pytest.mark.parametrize("ways", [2, 4])
+    def test_set_associative_main_cache(self, core, gcc_trace, ways):
+        geometry = CacheGeometry(16 * 1024, 32, ways=ways)
+        _assert_fvc_parity(
+            core, gcc_trace, geometry, 512, encoder_for(gcc_trace, 7)
         )
-        assert stats.as_dict() == oracle_stats
-        assert extras == oracle_extras
+
+    def test_fvc_larger_than_the_main_cache(self, core, gcc_trace):
+        # More FVC entries than main-cache sets: the paper's 4096-entry
+        # end of the Fig. 10 sweep.
+        geometry = CacheGeometry(4 * 1024, 32, ways=1)
+        _assert_fvc_parity(
+            core, gcc_trace, geometry, 4096, encoder_for(gcc_trace, 7)
+        )
+
+    def test_value_inconsistent_trace(self, core):
+        # A load observing a value other than the word's last store:
+        # the core keeps the stored codes and memory words the oracle
+        # does, so it replays such traces exactly too.
+        trace = Trace(
+            [(1, 0, 5), (0, 0, 7), (1, 4096, 1), (0, 0, 5), (0, 4100, 2)],
+            workload="syn",
+        )
+        geometry = CacheGeometry(4096, 16, ways=1)
+        encoder = FrequentValueEncoder((0, 1, 5), 2)
+        _assert_fvc_parity(core, trace, geometry, 64, encoder)
+
+
+class TestClassifyParity:
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_matches_oracle(self, core, m88ksim_trace, ways):
+        geometry = CacheGeometry(8 * 1024, 32, ways=ways)
+        assert core.classify(m88ksim_trace, geometry) == classify_misses(
+            m88ksim_trace.records, geometry
+        )
 
 
 class TestHierarchyParity:
@@ -126,25 +161,18 @@ class TestHierarchyParity:
 
 
 class TestDeclines:
-    def test_value_inconsistent_trace(self):
-        # A load observing a value other than the word's last store is
-        # outside the FVC kernel's envelope (its FVC-hit reasoning
-        # depends on value consistency).
-        trace = Trace([(1, 0, 5), (0, 0, 7)], workload="syn")
-        geometry = CacheGeometry(4096, 16, ways=1)
-        encoder = FrequentValueEncoder((0, 1, 2), 2)
-        assert fvc_cell_replay(trace, geometry, 64, encoder) is None
-
-    def test_out_of_range_value(self):
+    def test_out_of_range_value(self, core, numpy_backend):
         trace = Trace([(0, 0, 2**33)], workload="syn")
         geometry = CacheGeometry(4096, 16, ways=1)
         encoder = FrequentValueEncoder((0, 1, 2), 2)
-        assert fvc_cell_replay(trace, geometry, 64, encoder) is None
+        assert dispatch.try_fvc_replay(trace, geometry, 64, encoder) is None
+        assert dispatch.try_baseline_stats(trace, geometry) is None
+        assert dispatch.try_classify(trace, geometry) is None
 
-    def test_non_power_of_two_fvc(self, gcc_trace):
+    def test_non_power_of_two_fvc(self, core, numpy_backend, gcc_trace):
         geometry = CacheGeometry(4096, 16, ways=1)
         encoder = encoder_for(gcc_trace, 3)
-        assert fvc_cell_replay(gcc_trace, geometry, 96, encoder) is None
+        assert dispatch.try_fvc_replay(gcc_trace, geometry, 96, encoder) is None
 
 
 class TestProfileParity:

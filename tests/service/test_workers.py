@@ -6,6 +6,7 @@ seam), so these tests cover the execution machinery without paying for
 real simulations.
 """
 
+import json
 import os
 import time
 
@@ -220,3 +221,39 @@ class TestDrain:
     def test_rejects_zero_workers(self, queue):
         with pytest.raises(ValueError):
             WorkerPool(queue, run_spec=_ok_runner, workers=0)
+
+
+class TestChildSpans:
+    def test_served_cell_spans_reach_the_trace_file(
+        self, queue, tmp_path, monkeypatch
+    ):
+        # A job child inherits the worker thread's open ``worker.job``
+        # span: its own spans must nest under that attempt's span, be
+        # flushed by the child, and never repeat a parent line.
+        from repro.obs import tracing
+        from repro.service.api import execute_spec, normalise_spec
+
+        trace_file = tmp_path / "spans.jsonl"
+        monkeypatch.setenv(tracing.ENV_VAR, str(trace_file))
+        tracing.reset()
+        try:
+            pool = _run_pool(queue, execute_spec)
+            try:
+                spec = normalise_spec(
+                    {"type": "cell", "workload": "go", "input_name": "test"}
+                )
+                job, _ = queue.submit(spec, "cell-key")
+                _wait_for(lambda: job.state == jobstates.DONE, timeout=60)
+            finally:
+                pool.stop(drain=False)
+            tracing.active().flush()
+        finally:
+            tracing.reset()
+        lines = trace_file.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(set(lines))
+        spans = [json.loads(line) for line in lines]
+        jobs = [span for span in spans if span["name"] == "worker.job"]
+        cells = [span for span in spans if span["name"] == "engine.cell"]
+        assert len(jobs) == 1 and len(cells) == 1
+        assert cells[0]["parent_id"] == jobs[0]["span_id"]
+        assert len({span["span_id"] for span in spans}) == len(spans)
