@@ -139,7 +139,7 @@ def run_cell(cell: SimCell, store=None) -> CellResult:
         started = time.perf_counter()
         trace = store.get(cell.workload, cell.input_name)
         result = _simulate(cell, trace, span)
-        _record_cell_metrics(len(trace.records), time.perf_counter() - started)
+        _record_cell_metrics(len(trace), time.perf_counter() - started)
     return result
 
 
@@ -165,7 +165,7 @@ def _simulate(cell: SimCell, trace, span=None) -> CellResult:
         stats = simulator.simulate_batch(trace.records)
         if sanitizing:
             _sanitize_check(
-                cell, sanitize.check_baseline, simulator, len(trace.records)
+                cell, sanitize.check_baseline, simulator, len(trace)
             )
         return CellResult(cell=cell, stats=stats.as_dict())
 
@@ -193,7 +193,7 @@ def _simulate(cell: SimCell, trace, span=None) -> CellResult:
         stats = system.simulate_batch(trace.records)
         if sanitizing:
             _sanitize_check(
-                cell, sanitize.check_fvc_system, system, len(trace.records), audit
+                cell, sanitize.check_fvc_system, system, len(trace), audit
             )
         return CellResult(
             cell=cell,
@@ -217,7 +217,7 @@ def _simulate(cell: SimCell, trace, span=None) -> CellResult:
                 cell,
                 sanitize.check_access_count,
                 result.accesses,
-                len(trace.records),
+                len(trace),
             )
         return CellResult(
             cell=cell,

@@ -62,7 +62,7 @@ class Fig04MissAttribution(Experiment):
             rows.append(
                 {
                     "benchmark": name,
-                    "miss_rate_%": round(100 * misses / len(trace.records), 3),
+                    "miss_rate_%": round(100 * misses / len(trace), 3),
                     "miss_top10_accessed_%": round(
                         100 * miss_accessed / misses, 1
                     ) if misses else 0.0,

@@ -3,8 +3,8 @@
 The replay core and the profiler work from the same derived arrays
 instead of re-walking the record tuples per model:
 
-* :func:`trace_columns` — the raw ``op``/``address``/``value`` columns
-  (``uint8``/``uint32``/``uint32`` for in-range traces);
+* :func:`trace_columns` — the trace's ``op``/``address``/``value``
+  columns as ``uint8``/``uint32``/``uint32`` arrays, without a copy;
 * :func:`line_index` — per ``line_shift``: the distinct line addresses
   and the dense line ids the native replay core indexes by, from one
   ``np.unique``;
@@ -17,8 +17,7 @@ instead of re-walking the record tuples per model:
   straight from the columns.
 
 All entries live on ``trace.memo`` so cells sharing a geometry (or just
-a line size) pay for each decomposition once; ``Trace.append``/
-``extend`` drop them with the other aggregates.
+a line size) pay for each decomposition once.
 
 Layout invariants (those of the oracle simulators): line = address >>
 line_shift, set = line & (num_sets - 1), word offset = (address >> 2) &
@@ -27,17 +26,15 @@ line_shift, set = line & (num_sets - 1), word offset = (address >> 2) &
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.kernels.backend import numpy_or_none
 from repro.trace.trace import Trace
 
-_WORD_MASK = 0xFFFFFFFF
-
 
 class KernelUnsupported(Exception):
-    """Raised internally when a decomposition cannot represent a trace;
-    kernels catch it and decline to the oracle."""
+    """Raised internally when the decompositions are unavailable (no
+    numpy); kernels catch it and decline to the oracle."""
 
 
 def require_numpy():
@@ -49,51 +46,30 @@ def require_numpy():
 
 
 class TraceColumns:
-    """The raw columns plus the bounds check every kernel needs.
+    """Read-only numpy views of a trace's columns (``uint8`` ops,
+    ``uint32`` addresses and values).  :class:`Trace` checks the domain
+    at construction, so every kernel can take them as they are."""
 
-    In-range traces (op 0/1, address and value in the unsigned 32-bit
-    domain) keep ``uint8``/``uint32``/``uint32`` columns, the layout
-    the native core reads; any other trace keeps ``int64`` columns and
-    ``in_range`` is false, so the kernels refuse it rather than
-    approximate.
-    """
+    __slots__ = ("n", "ops", "addrs", "values", "nloads")
 
-    __slots__ = ("n", "ops", "addrs", "values", "nloads", "in_range")
+    def __init__(self, np, trace: Trace) -> None:
+        self.n = len(trace)
+        self.ops = _view(np, trace.ops, np.uint8)
+        self.addrs = _view(np, trace.addrs, np.uint32)
+        self.values = _view(np, trace.values, np.uint32)
+        self.nloads = trace.load_count
 
-    def __init__(self, np, records: List[Tuple[int, int, int]]) -> None:
-        n = len(records)
-        try:
-            flat = np.fromiter(
-                (field for record in records for field in record),
-                dtype=np.int64,
-                count=3 * n,
-            ).reshape(n, 3)
-        except OverflowError:
-            raise KernelUnsupported("records outside the int64 domain") from None
-        ops, addrs, values = flat[:, 0], flat[:, 1], flat[:, 2]
-        self.n = n
-        self.in_range = bool(
-            ((ops | 1) == 1).all()
-            and (addrs >= 0).all()
-            and (addrs <= _WORD_MASK).all()
-            and (values >= 0).all()
-            and (values <= _WORD_MASK).all()
-        )
-        if self.in_range:
-            self.ops = ops.astype(np.uint8)
-            self.addrs = addrs.astype(np.uint32)
-            self.values = values.astype(np.uint32)
-        else:
-            self.ops = np.ascontiguousarray(ops)
-            self.addrs = np.ascontiguousarray(addrs)
-            self.values = np.ascontiguousarray(values)
-        self.nloads = int((self.ops == 0).sum()) if n else 0
+
+def _view(np, column, dtype):
+    view = np.frombuffer(column, dtype=dtype)
+    view.flags.writeable = False
+    return view
 
 
 def trace_columns(trace: Trace) -> TraceColumns:
-    """Columnar view of ``trace.records`` (memoised)."""
+    """Columnar view of ``trace`` (memoised)."""
     np = require_numpy()
-    return trace.memo("kernel:columns", lambda t: TraceColumns(np, t.records))
+    return trace.memo("kernel:columns", lambda t: TraceColumns(np, t))
 
 
 class LineIndex:

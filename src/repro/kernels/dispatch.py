@@ -10,7 +10,6 @@ below names the reason the oracle serves the cell instead:
                        replays the oracle
 ``no_compiler``        no C compiler to build the core with
 ``build_failed``       the build, or loading its library, failed
-``out_of_range``       the trace has records outside the 32-bit domain
 ``unsupported_config`` a configuration the core does not transliterate
                        (a non-power-of-two FVC, which the oracle
                        rejects too)
@@ -60,13 +59,12 @@ def _record(outcome: str, elapsed: Optional[float] = None) -> None:
         registry.counter("kernel_declines_total").inc()
 
 
-def _gate(trace: Trace, supported: bool):
-    """``(core, None)`` when the native core may replay ``trace``, else
+def _gate(supported: bool):
+    """``(core, None)`` when the native core may replay the cell, else
     ``(None, decline reason)``; the reason is ``None`` when the backend
     chose the oracle outright."""
     from repro.analysis import sanitize
     from repro.kernels import native
-    from repro.kernels.columnar import KernelUnsupported, trace_columns
 
     if not backend_is_numpy():
         return None, None
@@ -77,19 +75,13 @@ def _gate(trace: Trace, supported: bool):
         return None, reason
     if not supported:
         return None, "unsupported_config"
-    try:
-        in_range = trace_columns(trace).in_range
-    except KernelUnsupported:
-        in_range = False
-    if not in_range:
-        return None, "out_of_range"
     return core, None
 
 
-def _core(trace: Trace, span, supported: bool = True):
-    """The native core for ``trace``, or ``None``; either way labels
+def _core(span, supported: bool = True):
+    """The native core for a cell, or ``None``; either way labels
     ``span`` (an ``engine.cell`` span, or ``None``) with the path."""
-    core, reason = _gate(trace, supported)
+    core, reason = _gate(supported)
     if core is None and reason not in (None, "sanitize"):
         _record("decline")
     if span is not None:
@@ -103,7 +95,7 @@ def try_baseline_stats(
     trace: Trace, geometry: CacheGeometry, span=None
 ) -> Optional[CacheStats]:
     """Native statistics for a conventional cache, or ``None``."""
-    core = _core(trace, span)
+    core = _core(span)
     if core is None:
         return None
     started = time.perf_counter()
@@ -121,7 +113,7 @@ def try_fvc_replay(
 ) -> Optional[Tuple[CacheStats, dict]]:
     """Native statistics + extras for a DMC+FVC cell, or ``None``."""
     supported = fvc_entries >= 1 and not fvc_entries & (fvc_entries - 1)
-    core = _core(trace, span, supported)
+    core = _core(span, supported)
     if core is None:
         return None
     started = time.perf_counter()
@@ -134,7 +126,7 @@ def try_classify(
     trace: Trace, geometry: CacheGeometry, span=None
 ) -> Optional[MissClassification]:
     """Native 3C classification, or ``None``."""
-    core = _core(trace, span)
+    core = _core(span)
     if core is None:
         return None
     started = time.perf_counter()

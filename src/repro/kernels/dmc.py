@@ -27,7 +27,7 @@ from repro.trace.trace import Trace
 def dmc_miss_stream(trace: Trace, geometry: CacheGeometry):
     """Time-ordered ``(record_position, victim_line_or_-1)`` pairs for
     every miss of a direct-mapped cache, or ``None`` when the kernel
-    declines (no numpy, non-direct-mapped, out-of-range trace).
+    declines (no numpy, non-direct-mapped).
 
     ``victim_line`` is set only for dirty evictions — the cases the
     oracle hierarchy forwards to the L2 as write-backs.
@@ -37,8 +37,6 @@ def dmc_miss_stream(trace: Trace, geometry: CacheGeometry):
     try:
         np = require_numpy()
         cols = trace_columns(trace)
-        if not cols.in_range:
-            return None
         so = set_order(trace, geometry.line_shift, geometry.num_sets)
     except KernelUnsupported:
         return None

@@ -221,8 +221,8 @@ def _pointer(np, array, dtype, length: int) -> int:
 class NativeCore:
     """Typed calls into a loaded replay library.
 
-    Every call takes an in-range trace (``trace_columns(trace)
-    .in_range``); the caller checks it, and the configuration, first.
+    Every call takes any trace (its type guarantees the 32-bit domain);
+    the caller checks the configuration first.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:

@@ -2,20 +2,16 @@
 
 A trace is the interface between the workload substrate and everything
 else: profilers measure frequent value locality on it, and the cache
-simulators replay it.  The in-memory representation is a plain list of
-``(op, byte_address, value)`` tuples for replay speed; :class:`Trace`
-wraps that list with metadata and analysis helpers.
+simulators replay it.  The in-memory representation is three typed columns (op, byte
+address, value) — the layout of the trace file — with a lazily built
+list of ``(op, byte_address, value)`` tuples for the record-walking
+simulators; :class:`Trace` adds metadata and analysis helpers.
 """
 
 from repro.trace.record import LOAD, STORE, Access
 from repro.trace.trace import Trace
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.io import (
-    read_trace,
-    read_trace_any,
-    write_trace,
-    write_trace_compact,
-)
+from repro.trace.io import read_trace, write_trace
 from repro.trace.synth import (
     cyclic_trace,
     ping_pong_trace,
@@ -39,9 +35,7 @@ __all__ = [
     "TraceStats",
     "compute_stats",
     "read_trace",
-    "read_trace_any",
     "write_trace",
-    "write_trace_compact",
     "filter_loads",
     "filter_stores",
     "filter_address_range",

@@ -6,13 +6,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.mem.memory import LOAD
 from repro.trace.trace import Trace
 
 
 @dataclass(frozen=True)
 class TraceStats:
-    """One-pass summary of a trace.
+    """Summary of a trace.
 
     ``top_values`` holds the most frequently *accessed* values with their
     access counts, mirroring the headline measurement of the paper's §2.
@@ -56,22 +55,16 @@ class TraceStats:
 
 
 def compute_stats(trace: Trace, top_k: int = 10) -> TraceStats:
-    """Compute :class:`TraceStats` in a single pass over ``trace``."""
-    loads = 0
-    addresses = set()
-    value_counts: Counter = Counter()
-    for op, address, value in trace.records:
-        if op == LOAD:
-            loads += 1
-        addresses.add(address)
-        value_counts[value] += 1
+    """Compute :class:`TraceStats` from the columns of ``trace``."""
+    value_counts = Counter(trace.values)
     top: List[Tuple[int, int]] = value_counts.most_common(top_k)
+    footprint = trace.footprint_words()
     return TraceStats(
-        accesses=len(trace.records),
-        loads=loads,
-        stores=len(trace.records) - loads,
-        footprint_words=len(addresses),
-        footprint_bytes=len(addresses) * 4,
+        accesses=len(trace),
+        loads=trace.load_count,
+        stores=trace.store_count,
+        footprint_words=footprint,
+        footprint_bytes=footprint * 4,
         distinct_values=len(value_counts),
         top_values=tuple(top),
     )

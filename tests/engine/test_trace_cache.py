@@ -50,10 +50,9 @@ class TestContentAddressing:
 
 class TestLayers:
     def test_first_get_synthesises_and_persists(self, cache):
-        trace = cache.get("go", "test")
+        trace = cache.load_or_generate("go", "test")
         assert len(trace) > 0
         assert cache.stats() == {
-            "memory_hits": 0,
             "disk_hits": 0,
             "synthesised": 1,
             "stores": 1,
@@ -62,21 +61,25 @@ class TestLayers:
         assert cache.path_for("go", "test").exists()
 
     def test_second_get_hits_the_memo(self, cache):
-        first = cache.get("go", "test")
-        second = cache.get("go", "test")
+        # The in-process layer is the TraceStore LRU in front of the
+        # cache: a second get neither reads the disk nor synthesises.
+        store = TraceStore(disk_cache=cache)
+        first = store.get("go", "test")
+        second = store.get("go", "test")
         assert second is first
-        assert cache.memory_hits == 1
         assert cache.synthesised == 1
+        assert cache.disk_hits == 0
 
     def test_fresh_process_hits_the_disk(self, cache):
-        original = cache.get("go", "test")
+        original = cache.load_or_generate("go", "test")
         fresh = TraceCache(cache.directory)  # simulates a new process
-        loaded = fresh.get("go", "test")
+        loaded = fresh.load_or_generate("go", "test")
         assert loaded == original
         assert loaded.workload == "go"
         assert loaded.instruction_count == original.instruction_count
+        # The entry decodes straight into the columns.
+        assert loaded._records is None
         assert fresh.stats() == {
-            "memory_hits": 0,
             "disk_hits": 1,
             "synthesised": 0,
             "stores": 0,
@@ -84,22 +87,37 @@ class TestLayers:
         }
 
     def test_corrupt_entry_is_quarantined_and_regenerated(self, cache):
-        cache.get("go", "test")
+        import struct
+        import zlib
+
+        from repro.common.integrity import wrap
+        from repro.trace.io import columnar_layout, trace_to_bytes
+
+        original = cache.load_or_generate("go", "test")
+        # A well-formed entry (valid envelope and column checksums)
+        # whose op column holds a 2 is not a trace either.
+        data = bytearray(trace_to_bytes(original))
+        ops_offset, _, _, _ = columnar_layout(len(original), len(b"go"), len(b"test"))
+        data[ops_offset] = 2
+        ops = bytes(data[ops_offset : ops_offset + len(original)])
+        struct.pack_into("<I", data, 28, zlib.crc32(ops))
+        out_of_domain = wrap(zlib.compress(bytes(data), 6))
         path = cache.path_for("go", "test")
-        path.write_bytes(b"not a trace file")
-        fresh = TraceCache(cache.directory)
-        trace = fresh.load("go", "test")
-        assert trace is None
-        # The poisoned entry was moved aside, not served and not lost.
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert fresh.corrupt_quarantined == 1
-        assert len(fresh.get("go", "test")) > 0
-        assert fresh.synthesised == 1
+        for poison in (b"not a trace file", out_of_domain):
+            path.write_bytes(poison)
+            fresh = TraceCache(cache.directory)
+            trace = fresh.load("go", "test")
+            assert trace is None
+            # The poisoned entry was moved aside, not served and not lost.
+            assert not path.exists()
+            assert path.with_name(path.name + ".corrupt").exists()
+            assert fresh.corrupt_quarantined == 1
+            assert fresh.load_or_generate("go", "test") == original
+            assert fresh.synthesised == 1
 
     def test_entries_and_clear(self, cache):
-        cache.get("go", "test")
-        cache.get("compress", "test")
+        cache.load_or_generate("go", "test")
+        cache.load_or_generate("compress", "test")
         entries = cache.entries()
         assert {(w, i) for _, w, i, _ in entries} == {
             ("go", "test"),
@@ -116,30 +134,6 @@ class TestLayers:
             assert header_count == count
         assert cache.clear() == 2
         assert cache.entries() == []
-
-    def test_legacy_compact_entry_is_served(self, cache):
-        """An entry persisted by an earlier release (compact v2 bytes
-        under ``.trc2e``) still loads at the same content address."""
-        import zlib
-
-        from repro.common.integrity import write_enveloped
-        from repro.engine.trace_cache import COMPACT_SUFFIX
-        from repro.trace.io import trace_to_compact_bytes
-        from repro.workloads.registry import get_workload
-
-        trace = get_workload("go").generate_trace("test")
-        legacy = cache.path_for("go", "test").with_suffix(COMPACT_SUFFIX)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        write_enveloped(
-            legacy, zlib.compress(trace_to_compact_bytes(trace), 6)
-        )
-        loaded = cache.load("go", "test")
-        assert loaded == trace
-        assert cache.disk_hits == 1
-        # Both kinds are visible to maintenance commands.
-        assert {(w, i) for _, w, i, _ in cache.entries()} == {("go", "test")}
-        assert cache.verify()["ok"] == 1
-        assert cache.clear() == 1
 
     def test_ensure_creates_the_entry(self, cache):
         path = cache.ensure("go", "test")
@@ -254,7 +248,7 @@ class TestConcurrentWriters:
         """The atomic-rename contract itself: payload is written to a
         mkstemp-private file and lands via a single os.replace (the
         publication step lives in repro.common.integrity now)."""
-        trace = cache.get("go", "test")
+        trace = cache.load_or_generate("go", "test")
         calls = []
         real_replace = __import__("os").replace
 
@@ -279,7 +273,7 @@ class TestConcurrentWriters:
         writer A sits between its temp write and its rename; A's
         replace then lands over B's entry — and the entry stays whole
         because A replaces a complete file with a complete file."""
-        trace = cache.get("go", "test")
+        trace = cache.load_or_generate("go", "test")
         real_replace = __import__("os").replace
         state = {"interleaved": False}
 

@@ -74,7 +74,7 @@ class TestTraceCacheKill:
         # verify() sweeps the debris; a clean regeneration publishes.
         report = cache.verify()
         assert report["tmp_removed"] == 1
-        assert len(cache.get("go", "test")) > 0
+        assert len(cache.load_or_generate("go", "test")) > 0
         assert len(list(directory.glob("*.trcbe"))) == 1
         assert list(directory.glob("*.tmp")) == []
 

@@ -84,12 +84,12 @@ def test_columnar_trace_yields_identical_cell_results(
     # trace vs the kernels over a trace round-tripped through the
     # columnar file format, compared field by field.
     from repro.engine.cells import SimCell, run_cell
-    from repro.trace.io import read_trace_any, write_trace_columnar
+    from repro.trace.io import read_trace, write_trace
 
     trace = store.get("gcc", "test")
     path = tmp_path / "gcc.trcb"
-    write_trace_columnar(trace, path)
-    loaded = read_trace_any(path)
+    write_trace(trace, path)
+    loaded = read_trace(path)
     assert loaded == trace
 
     cell = SimCell(
@@ -102,3 +102,37 @@ def test_columnar_trace_yields_identical_cell_results(
     kernel = run_cell(cell, _SingleTraceStore(loaded))
     assert oracle.stats == kernel.stats
     assert oracle.extras == kernel.extras
+
+
+def test_fast_path_builds_no_record_tuples(tmp_path, monkeypatch):
+    # A trace served from a cache entry reaches the native core as its
+    # columns: fast fig10 baseline and FVC cells on it never build the
+    # record tuples, and their results equal the oracle's.
+    from repro.engine.cells import run_cell
+    from repro.engine.trace_cache import TraceCache
+    from repro.experiments.registry import get_experiment
+    from repro.kernels import native
+
+    monkeypatch.setenv(backend.ENV_VAR, "numpy")
+    monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+    if native.load()[0] is None:
+        pytest.skip("native replay core unavailable")
+    cells = get_experiment("fig10").plan_cells(fast=True)
+    baseline = next(cell for cell in cells if cell.kind == "baseline")
+    fvc = next(
+        cell for cell in cells
+        if cell.kind == "fvc" and cell.workload == baseline.workload
+    )
+    cache = TraceCache(tmp_path / "traces")
+    cache.load_or_generate(baseline.workload, baseline.input_name)
+    loaded = TraceCache(cache.directory).load(baseline.workload, baseline.input_name)
+    assert loaded is not None and loaded._records is None
+    fast = [run_cell(cell, _SingleTraceStore(loaded)) for cell in (baseline, fvc)]
+    assert loaded._records is None
+
+    monkeypatch.setenv(backend.ENV_VAR, "python")
+    fresh = TraceCache(cache.directory).load(baseline.workload, baseline.input_name)
+    oracle = [run_cell(cell, _SingleTraceStore(fresh)) for cell in (baseline, fvc)]
+    for kernel_result, oracle_result in zip(fast, oracle):
+        assert kernel_result.stats == oracle_result.stats
+        assert kernel_result.extras == oracle_result.extras

@@ -15,6 +15,7 @@ from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import TwoLevelSystem
 from repro.cache.setassoc import SetAssociativeCache
+from repro.common.errors import TraceFormatError
 from repro.experiments.common import encoder_for
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.system import FvcSystem
@@ -162,12 +163,11 @@ class TestHierarchyParity:
 
 class TestDeclines:
     def test_out_of_range_value(self, core, numpy_backend):
-        trace = Trace([(0, 0, 2**33)], workload="syn")
-        geometry = CacheGeometry(4096, 16, ways=1)
-        encoder = FrequentValueEncoder((0, 1, 2), 2)
-        assert dispatch.try_fvc_replay(trace, geometry, 64, encoder) is None
-        assert dispatch.try_baseline_stats(trace, geometry) is None
-        assert dispatch.try_classify(trace, geometry) is None
+        # Records outside the 32-bit domain never reach dispatch: the
+        # trace refuses them at construction.
+        for records in ([(0, 0, 2**33)], [(0, 2**33, 1)], [(2, 0, 0)]):
+            with pytest.raises(TraceFormatError):
+                Trace(records, workload="syn")
 
     def test_non_power_of_two_fvc(self, core, numpy_backend, gcc_trace):
         geometry = CacheGeometry(4096, 16, ways=1)

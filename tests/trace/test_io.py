@@ -1,11 +1,13 @@
-"""Tests for the binary trace format."""
+"""Tests for the trace file reader and writer."""
+
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import TraceFormatError
-from repro.trace.io import read_trace, write_trace
+from repro.trace.io import read_trace, read_trace_header, write_trace
 from repro.trace.trace import Trace
 
 _records = st.lists(
@@ -67,6 +69,20 @@ class TestErrorHandling:
         with pytest.raises(TraceFormatError):
             read_trace(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_row_format_versions_rejected(self, tmp_path, version):
+        # The header of the retired row formats: magic, version, name
+        # lengths, reserved, record and instruction counts.
+        path = tmp_path / f"v{version}.trc"
+        path.write_bytes(
+            struct.pack("<4sHHHHQQ", b"FVTR", version, 0, 0, 0, 1, 1)
+            + b"\x00\x10\x00\x00\x00\x01\x00\x00\x00"
+        )
+        with pytest.raises(
+            TraceFormatError, match=f"unsupported version {version}"
+        ):
+            read_trace(path)
+
     def test_truncated_payload(self, tmp_path):
         trace = Trace([(0, 16, 1)] * 10)
         path = tmp_path / "trunc.trc"
@@ -75,3 +91,33 @@ class TestErrorHandling:
         path.write_bytes(data[:-5])
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    def test_truncated_gzip_roundtrip(self, tmp_path):
+        trace = Trace([(0, 16, 1)] * 200)
+        path = tmp_path / "t.trcb.gz"
+        write_trace(trace, path)
+        truncated = tmp_path / "cut.trcb.gz"
+        truncated.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises((TraceFormatError, EOFError)):
+            read_trace(truncated)
+
+
+class TestHeader:
+    def test_header_errors(self, tmp_path):
+        short = tmp_path / "short.trcb"
+        short.write_bytes(b"FVTC\x03\x00")
+        with pytest.raises(TraceFormatError):
+            read_trace_header(short)
+        bad = tmp_path / "bad.trcb"
+        bad.write_bytes(b"XXXX" + b"\x00" * 40)
+        with pytest.raises(TraceFormatError):
+            read_trace_header(bad)
+
+    def test_header_truncated_metadata(self, tmp_path):
+        trace = Trace([(0, 16, 1)], workload="a-long-workload-name")
+        path = tmp_path / "t.trcb"
+        write_trace(trace, path)
+        cut = tmp_path / "cut.trcb"
+        cut.write_bytes(path.read_bytes()[:50])  # header ok, names cut
+        with pytest.raises(TraceFormatError):
+            read_trace_header(cut)

@@ -1,4 +1,4 @@
-"""Tests for the columnar (version 3) binary trace format."""
+"""Tests for the bytes of the trace format (columnar, version 3)."""
 
 from __future__ import annotations
 
@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 
 from repro.common.errors import TraceFormatError
 from repro.trace.io import (
-    _COLUMNAR_HEADER,
+    _HEADER,
     columnar_layout,
-    read_trace_any,
-    read_trace_columnar,
+    read_trace,
     read_trace_header,
     trace_from_bytes,
-    trace_to_columnar_bytes,
+    trace_to_bytes,
     write_trace,
-    write_trace_columnar,
-    write_trace_compact,
 )
 from repro.trace.trace import Trace
 
@@ -44,49 +41,30 @@ def _sample_trace() -> Trace:
 
 
 class TestColumnarRoundtrip:
-    def test_simple_roundtrip(self, tmp_path):
+    def test_simple_roundtrip(self):
         trace = _sample_trace()
-        path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        loaded = read_trace_columnar(path)
+        loaded = trace_from_bytes(trace_to_bytes(trace))
         assert loaded == trace
         assert loaded.workload == "gcc"
         assert loaded.input_name == "ref"
         assert loaded.instruction_count == 42
 
-    def test_empty_trace(self, tmp_path):
+    def test_empty_trace(self):
         trace = Trace([], workload="w")
-        path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        assert read_trace_any(path) == trace
+        assert trace_from_bytes(trace_to_bytes(trace)) == trace
 
     @settings(max_examples=25, deadline=None)
     @given(records=_records)
-    def test_roundtrip_property(self, tmp_path_factory, records):
-        trace = Trace(records, workload="p")
-        path = tmp_path_factory.mktemp("traces") / "t.trcb"
-        write_trace_columnar(trace, path)
-        assert read_trace_any(path).records == records
-
-    def test_read_any_dispatches_across_all_three_formats(self, tmp_path):
-        trace = _sample_trace()
-        v1 = tmp_path / "v1.trc"
-        v2 = tmp_path / "v2.trc2"
-        v3 = tmp_path / "v3.trcb"
-        write_trace(trace, v1)
-        write_trace_compact(trace, v2)
-        write_trace_columnar(trace, v3)
-        assert (
-            read_trace_any(v1)
-            == read_trace_any(v2)
-            == read_trace_any(v3)
-            == trace
-        )
+    def test_roundtrip_property(self, records):
+        loaded = trace_from_bytes(trace_to_bytes(Trace(records, workload="p")))
+        # Decoding fills the columns and builds no record tuples.
+        assert loaded._records is None
+        assert loaded.records == records
 
     def test_header_of_columnar_file(self, tmp_path):
         trace = _sample_trace()
         path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
+        write_trace(trace, path)
         assert read_trace_header(path) == (3, "gcc", "ref", 4, 42)
 
 
@@ -101,9 +79,9 @@ class TestColumnarLayout:
 
     def test_layout_matches_real_bytes(self):
         trace = _sample_trace()
-        data = trace_to_columnar_bytes(trace)
+        data = trace_to_bytes(trace)
         _, _, _, total = columnar_layout(
-            len(trace.records), len(b"gcc"), len(b"ref")
+            len(trace), len(b"gcc"), len(b"ref")
         )
         assert len(data) == total
 
@@ -113,24 +91,24 @@ class TestColumnarErrors:
         path = tmp_path / "t.trcb"
         path.write_bytes(b"FVTC\x03\x00")
         with pytest.raises(TraceFormatError):
-            read_trace_any(path)
+            read_trace(path)
 
     def test_truncated_column(self, tmp_path):
         trace = _sample_trace()
         path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
+        write_trace(trace, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(TraceFormatError):
-            read_trace_any(path)
+            read_trace(path)
 
     def test_corrupt_column_is_named_by_its_checksum(self):
-        data = bytearray(trace_to_columnar_bytes(_sample_trace()))
+        data = bytearray(trace_to_bytes(_sample_trace()))
         data[-1] ^= 0xFF  # last byte of the value column
         with pytest.raises(TraceFormatError, match="value"):
             trace_from_bytes(bytes(data))
 
     def test_unknown_version_rejected(self):
-        data = bytearray(trace_to_columnar_bytes(_sample_trace()))
+        data = bytearray(trace_to_bytes(_sample_trace()))
         struct.pack_into("<H", data, 4, 99)
         with pytest.raises(TraceFormatError, match="version"):
             trace_from_bytes(bytes(data))
@@ -139,32 +117,51 @@ class TestColumnarErrors:
         path = tmp_path / "t.trcb"
         path.write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(TraceFormatError):
-            read_trace_any(path)
+            read_trace(path)
 
     def test_out_of_domain_record_rejected_at_write(self):
-        trace = Trace([(0, 2**33, 1)], workload="syn")
-        with pytest.raises(TraceFormatError):
-            trace_to_columnar_bytes(trace)
+        # A trace outside the format's domain cannot even be built, so
+        # it never reaches the writer.
+        for records in (
+            [(0, 2**33, 1)],
+            [(2, 0, 0)],
+            [(0, 0, 2**32)],
+            [(0, -4, 0)],
+            [(0, 4)],
+        ):
+            with pytest.raises(TraceFormatError):
+                Trace(records, workload="syn")
+
+    def test_out_of_domain_op_column_rejected_at_read(self):
+        # An op column holding a 2 under valid checksums: decodes
+        # structurally, but is not a trace.
+        data = bytearray(trace_to_bytes(_sample_trace()))
+        ops_offset, _, _, _ = columnar_layout(4, len(b"gcc"), len(b"ref"))
+        data[ops_offset] = 2
+        ops = bytes(data[ops_offset : ops_offset + 4])
+        struct.pack_into("<I", data, 28, zlib.crc32(ops))
+        with pytest.raises(TraceFormatError, match="op column"):
+            trace_from_bytes(bytes(data))
 
 
 class TestBackendByteIdentity:
     def test_fallback_writer_emits_identical_bytes(self, monkeypatch):
-        # The stdlib array/struct fallback and the numpy fast path must
-        # produce the same file, byte for byte.
+        # The format carries no numpy dependency: the writer emits the
+        # same bytes whether or not numpy is importable.
         pytest.importorskip("numpy")
         import sys
 
         trace = _sample_trace()
-        with_numpy = trace_to_columnar_bytes(trace)
+        with_numpy = trace_to_bytes(trace)
         monkeypatch.setitem(sys.modules, "numpy", None)
-        without_numpy = trace_to_columnar_bytes(trace)
+        without_numpy = trace_to_bytes(trace)
         assert with_numpy == without_numpy
 
     def test_fallback_reader_round_trips(self, monkeypatch):
         import sys
 
         trace = _sample_trace()
-        data = trace_to_columnar_bytes(trace)
+        data = trace_to_bytes(trace)
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert trace_from_bytes(data) == trace
 
@@ -176,11 +173,8 @@ class TestCompression:
              for index in range(20000)],
             workload="syn",
         )
-        from repro.trace.io import trace_to_compact_bytes
-
-        columnar = zlib.compress(trace_to_columnar_bytes(trace), 6)
-        # The envelope the trace cache persists: columnar entries stay
-        # in the same size class as the delta-coded compact format.
-        assert len(columnar) < len(trace.records) * 9
-        assert _COLUMNAR_HEADER.size == 40
-        assert trace_to_compact_bytes(trace)  # both formats available
+        columnar = zlib.compress(trace_to_bytes(trace), 6)
+        # The envelope the trace cache persists: smaller than the 9
+        # bytes per record of an uncompressed row.
+        assert len(columnar) < len(trace) * 9
+        assert _HEADER.size == 40
