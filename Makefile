@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-sanitize lint bench bench-core bench-cluster bench-fast bench-quick bench-obs examples experiments sweep clean
+.PHONY: install test test-fast test-sanitize lint bench bench-core bench-fast bench-quick bench-obs examples experiments sweep clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -37,13 +37,6 @@ bench:
 # committed BENCH_core.json (docs/PERFORMANCE.md explains the fields).
 bench-core:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py -o BENCH_core.json
-
-# Cluster-fabric trajectory: the fig13 test-scale sweep through a
-# coordinator + 1/2/4 real worker processes, median of 3, payload
-# byte-identity gated on every row; refreshes BENCH_cluster.json
-# (docs/CLUSTER.md has the failure model behind the fabric).
-bench-cluster:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_cluster.py -o BENCH_cluster.json
 
 bench-fast:
 	$(PYTHON) -m pytest benchmarks/bench_core.py --benchmark-only \

@@ -2,8 +2,8 @@
 
 The service's HTTP surface is defined twice: once as the route
 dispatch in ``repro/service/server.py`` (an if/elif chain over the
-split path) and once as the paths ``ServiceClient`` and the cluster
-worker actually request.  Nothing in Python keeps the two in sync —
+split path) and once as the paths ``ServiceClient`` actually
+requests.  Nothing in Python keeps the two in sync —
 renaming a route breaks every client at runtime, silently.  These
 rules extract both sides at lint time:
 

@@ -35,13 +35,6 @@ Service mode (see docs/SERVICE.md)::
     repro-fvc status job-00001-abcdef12       # poll one job
     repro-fvc fetch <result-key>              # stored result payload
 
-Cluster mode (see docs/CLUSTER.md) — ``serve`` doubles as the
-coordinator; thin workers attach over the same ``/v1`` protocol::
-
-    repro-fvc serve --port 8031               # coordinator
-    repro-fvc worker --coordinator http://127.0.0.1:8031
-    repro-fvc worker --coordinator ... --batch 4 --name lab-02
-
 (Equivalent: ``python -m repro ...``.)
 """
 
@@ -443,9 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_dir=Path(args.store_dir) if args.store_dir else None,
             store_capacity=args.capacity,
             quiet=not args.verbose,
-            cluster_lease_timeout=args.lease_timeout,
-            cluster_worker_ttl=args.worker_ttl,
-            cluster_dispatchers=args.cluster_dispatchers,
             state_dir=Path(args.state_dir) if args.state_dir else None,
             state_quota_bytes=(
                 args.state_quota_bytes if args.state_quota_bytes > 0 else None
@@ -494,32 +484,11 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     )
     print(f"jobs: {len(recovered.jobs)} ({summary})" if recovered.jobs
           else "jobs: 0")
-    print(
-        f"scheduler: worker serial {recovered.worker_serial}, "
-        f"lease serial {recovered.lease_serial}, "
-        f"clock epoch {recovered.epoch:.3f}s"
-    )
     if recovered.torn:
         print("warning: torn tail detected (run `journal fsck` to "
               "quarantine and truncate)")
         return 1
     return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.cluster.worker import WorkerConfig, run_worker
-
-    return run_worker(
-        WorkerConfig(
-            coordinator=args.coordinator,
-            name=args.name,
-            batch=args.batch,
-            poll=args.poll,
-            timeout=args.timeout,
-            max_cells=args.max_cells if args.max_cells > 0 else None,
-            once=args.once,
-        )
-    )
 
 
 def _print_json(payload) -> None:
@@ -1044,23 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
     serve.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="S",
-        help="cluster: seconds a granted cell lease stays valid before "
-        "it is revoked and re-issued (default 30)",
-    )
-    serve.add_argument(
-        "--worker-ttl", type=float, default=10.0, metavar="S",
-        help="cluster: seconds a silent worker stays registered; "
-        "workers heartbeat at a third of this (default 10)",
-    )
-    serve.add_argument(
-        "--cluster-dispatchers", type=int, default=2, metavar="K",
-        help="coordinator threads driving cluster-lane jobs (default 2)",
-    )
-    serve.add_argument(
         "--state-dir", default=None, metavar="DIR",
         help="control-plane durability: write-ahead journal + snapshot "
-        "directory; a restarted coordinator recovers every accepted "
+        "directory; a restarted service recovers every accepted "
         "job from it (default: no journal)",
     )
     serve.add_argument(
@@ -1088,43 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the serve --state-dir to inspect",
     )
     journal.set_defaults(func=_cmd_journal)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a thin cluster worker attached to a coordinator "
-        "(registers, heartbeats, leases simulation cells over /v1); "
-        "see docs/CLUSTER.md",
-    )
-    worker.add_argument(
-        "--coordinator", required=True, metavar="URL",
-        help="coordinator base URL, e.g. http://127.0.0.1:8031",
-    )
-    worker.add_argument(
-        "--name", default="worker",
-        help="worker display name in GET /v1/workers (default 'worker')",
-    )
-    worker.add_argument(
-        "--batch", type=int, default=2, metavar="N",
-        help="cell leases pulled per request (default 2)",
-    )
-    worker.add_argument(
-        "--poll", type=float, default=0.5, metavar="S",
-        help="idle re-poll interval in seconds (default 0.5)",
-    )
-    worker.add_argument(
-        "--timeout", type=float, default=30.0, metavar="S",
-        help="per-request HTTP timeout (default 30)",
-    )
-    worker.add_argument(
-        "--max-cells", type=int, default=0, metavar="N",
-        help="exit after N completed cells; 0 = unbounded (default)",
-    )
-    worker.add_argument(
-        "--once", action="store_true",
-        help="exit once the coordinator drains (after completing at "
-        "least one cell); for tests and benchmarks",
-    )
-    worker.set_defaults(func=_cmd_worker)
 
     url_help = (
         "service URL (default $REPRO_SERVICE_URL or http://127.0.0.1:8031)"

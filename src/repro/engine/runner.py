@@ -27,14 +27,6 @@ from repro.engine.trace_cache import default_trace_cache
 #: cell order, from the submitting process (never from a pool worker).
 ProgressHook = Callable[[int, int], None]
 
-#: ``executor(cells, progress=..., should_cancel=..., store=...)`` —
-#: an alternative cell-execution strategy (e.g. the cluster
-#: scheduler's :meth:`repro.cluster.coordinator.ClusterScheduler
-#: .run_cells`).  Must return one :class:`CellResult` per cell, in
-#: input order, computed through :func:`run_cell` semantics so results
-#: stay bit-identical to a local run.
-CellExecutor = Callable[..., List[CellResult]]
-
 
 class RunCancelled(Exception):
     """Raised by :func:`run_cells` when ``should_cancel`` fires.
@@ -100,7 +92,6 @@ def run_cells(
     progress: Optional[ProgressHook] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
     checkpoint=None,
-    executor: Optional[CellExecutor] = None,
 ) -> List[CellResult]:
     """Execute cells, in parallel when ``jobs > 1``.
 
@@ -119,12 +110,6 @@ def run_cells(
     from disk, freshly-computed cells are persisted the moment they
     finish, and because every cell is deterministic the merged results
     are bit-identical to an uninterrupted, checkpoint-free run.
-
-    ``executor`` replaces the local fan-out entirely (``jobs`` is then
-    ignored for the pending cells): the callable receives the cells
-    that still need computing and must return their results in input
-    order.  Checkpoint restore/save and progress accounting still
-    happen here, so an executor-backed run composes with both.
     """
     cells = list(cells)
     total = len(cells)
@@ -158,26 +143,6 @@ def run_cells(
         done += 1
         _completed(done)
 
-    if executor is not None and pending:
-        pending_cells = [cells[index] for index in pending]
-
-        def _executor_progress(exec_done: int, _exec_total: int) -> None:
-            # Interim counts from the executor map onto the overall
-            # run: restored cells are already reported, executor cells
-            # land on top.  _record re-reports each final count, which
-            # is harmless — progress is monotone and observational.
-            _completed(done + exec_done)
-
-        exec_results = executor(
-            pending_cells,
-            progress=_executor_progress if progress is not None else None,
-            should_cancel=should_cancel,
-            store=store,
-        )
-        for index, result in zip(pending, exec_results):
-            _check_cancel()
-            _record(index, result)
-        return results  # type: ignore[return-value]
     if jobs <= 1 or len(pending) <= 1:
         for index in pending:
             _check_cancel()

@@ -137,24 +137,21 @@ class Experiment(ABC):
         progress=None,
         should_cancel=None,
         checkpoint=None,
-        executor=None,
     ) -> ExperimentResult:
         """Run, fanning simulation cells across ``jobs`` processes when
         the experiment decomposes; deterministic — results are merged in
         plan order and are bit-identical to a sequential :meth:`run`.
 
         ``progress`` / ``should_cancel`` / ``checkpoint`` are the
-        engine's cell-boundary hooks and ``executor`` its alternative
-        execution strategy (see :func:`repro.engine.runner.run_cells`);
-        they only take effect when the experiment decomposes into
-        cells.
+        engine's cell-boundary hooks (see
+        :func:`repro.engine.runner.run_cells`); they only take effect
+        when the experiment decomposes into cells.
         """
         if (
             jobs > 1
             or progress is not None
             or should_cancel is not None
             or checkpoint is not None
-            or executor is not None
         ):
             plan = self.plan_cells(fast)
             if plan is not None:
@@ -167,7 +164,6 @@ class Experiment(ABC):
                     progress=progress,
                     should_cancel=should_cancel,
                     checkpoint=checkpoint,
-                    executor=executor,
                 )
                 return self.merge_cells(plan, results, fast)
         return self.run(store, fast=fast)

@@ -127,21 +127,6 @@ SITE_CATALOG: Dict[str, Site] = _catalog(
         "client.request",
         "Entry of every ServiceClient HTTP request (transport layer).",
     ),
-    Site(
-        "cluster.lease",
-        "Coordinator-side entry of every /v1/cells/lease grant, before "
-        "any task is dequeued or stolen.",
-    ),
-    Site(
-        "cluster.heartbeat",
-        "Coordinator-side receipt of every worker heartbeat, before "
-        "the liveness clock is refreshed.",
-    ),
-    Site(
-        "cluster.result",
-        "Coordinator-side ingest of every pushed cell result, before "
-        "the lease is resolved.",
-    ),
 )
 
 # The active plan -------------------------------------------------------

@@ -110,23 +110,5 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "sweep_cells_expanded_total",
         "sweep_cells_reused_total",
         "sweeps_tracked",
-        # Cluster: coordinator-side fabric state (repro.cluster).
-        "cluster_workers",
-        "cluster_workers_registered_total",
-        "cluster_workers_lost_total",
-        "cluster_heartbeats_total",
-        "cluster_leases_issued_total",
-        "cluster_leases_completed_total",
-        "cluster_leases_expired_total",
-        "cluster_leases_reissued_total",
-        "cluster_cells_stolen_total",
-        "cluster_results_stale_total",
-        "cluster_local_fallback_total",
-        "cluster_trace_serves_total",
-        "cluster_pending_cells",
-        "cluster_leased_cells",
-        # Cluster: worker-side loop (repro.cluster.worker).
-        "cluster_cells_total",
-        "cluster_trace_fetches_total",
     }
 )

@@ -98,9 +98,9 @@ class ServiceClient:
         self.retry = retry
         self.breaker = breaker
         self._sleep = sleep
-        # One client is shared across threads (the cluster worker's
-        # heartbeat thread and its lease loop), so the diagnostic
-        # counter takes a lock rather than racing the increments away.
+        # One client may be shared across threads (a caller polling
+        # several jobs at once), so the diagnostic counter takes a lock
+        # rather than racing the increments away.
         self._stats_lock = threading.Lock()
         self.retries_attempted = 0
 
@@ -285,55 +285,6 @@ class ServiceClient:
         if view.get("state") != "done" or "result" not in view:
             view = self.wait_sweep(view["sweep_id"], timeout=timeout)
         return view["result"]
-
-    # Cluster protocol --------------------------------------------------
-    def register_worker(
-        self,
-        name: str = "worker",
-        pid: Optional[int] = None,
-        host: Optional[str] = None,
-    ) -> Dict:
-        """Register this process as a cluster worker; returns the
-        ``worker/v1`` grant (worker id + timing contract)."""
-        return self._json(
-            "POST", "/v1/workers",
-            body={"name": name, "pid": pid, "host": host},
-        )
-
-    def worker_heartbeat(self, worker_id: str) -> Dict:
-        """Refresh a worker's liveness; ``known: false`` means
-        re-register."""
-        return self._json("POST", f"/v1/workers/{worker_id}/heartbeat")
-
-    def deregister_worker(self, worker_id: str) -> Dict:
-        """Graceful worker goodbye: drop the registration and re-queue
-        held leases."""
-        return self._json("DELETE", f"/v1/workers/{worker_id}")
-
-    def workers(self) -> Dict:
-        """The ``workers/v1`` fabric view (topology + queue state)."""
-        return self._json("GET", "/v1/workers")
-
-    def lease_cells(self, worker_id: str, max_leases: int = 1) -> Dict:
-        """Pull up to ``max_leases`` cell leases for ``worker_id``."""
-        return self._json(
-            "POST", "/v1/cells/lease",
-            body={"worker_id": worker_id, "max_leases": max_leases},
-        )
-
-    def push_cell_result(
-        self, lease_id: str, worker_id: str, payload: Dict
-    ) -> Dict:
-        """Push one computed ``repro.cell/1`` payload for a lease."""
-        return self._json(
-            "POST", f"/v1/cells/{lease_id}/result",
-            body={"worker_id": worker_id, "payload": payload},
-        )
-
-    def fetch_trace_entry(self, workload: str, input_name: str) -> bytes:
-        """The coordinator's enveloped trace-cache entry bytes for one
-        ``(workload, input)`` — the trace-sharding fetch path."""
-        return self._request("GET", f"/v1/traces/{workload}/{input_name}")
 
     # Convenience -------------------------------------------------------
     def wait(

@@ -46,15 +46,11 @@ _TERMINAL = (DONE, FAILED, CANCELLED)
 #: changes bump it (see ``docs/API.md``).
 JOB_SCHEMA = "job/v1"
 
-#: Execution lanes.  ``local`` jobs are claimed by the in-process
-#: worker pool (child processes on this host); ``cluster`` jobs by the
-#: cluster executor, which shards their cells across registered remote
-#: workers (see ``docs/CLUSTER.md``).  A lane is an execution strategy,
-#: never a result namespace: both lanes produce the same payload bytes
-#: for the same spec.
-LOCAL_LANE = "local"
-CLUSTER_LANE = "cluster"
-LANES = (LOCAL_LANE, CLUSTER_LANE)
+#: The retired ``lane`` field of the job view.  Every job runs on the
+#: worker pool, so the view carries this constant for one release
+#: (``job/v1`` changes are additive only) and then drops it — see the
+#: deprecation table in ``docs/API.md``.
+RETIRED_LANE = "local"
 
 
 class QueueFullError(Exception):
@@ -97,8 +93,6 @@ class Job:
     payload: Optional[Dict] = None
     #: Set to request cancellation; checked queued and running.
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: Which execution lane claims this job (``local`` / ``cluster``).
-    lane: str = LOCAL_LANE
 
     def as_dict(self, include_result: bool = True) -> Dict:
         """The job's public JSON view (``GET /v1/jobs/<id>``)."""
@@ -107,7 +101,7 @@ class Job:
             "id": self.id,
             "spec": self.spec,
             "result_key": self.result_key,
-            "lane": self.lane,
+            "lane": RETIRED_LANE,
             "state": self.state,
             "created": self.created,
             "started": self.started,
@@ -141,16 +135,14 @@ class JobQueue:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # insertion order, for trimming
-        self._pending: Dict[str, "queue.Queue[str]"] = {
-            lane: queue.Queue() for lane in LANES
-        }
+        self._pending: "queue.Queue[str]" = queue.Queue()
         self._max_jobs = max_jobs
         #: Pending-job bound; ``None`` = unbounded.  At the bound, new
         #: (non-deduplicated) submissions raise :class:`QueueFullError`.
         self.max_queue_depth = max_queue_depth
         #: Optional write-ahead journal (:class:`repro.service.journal
         #: .Journal`).  When set, every lifecycle transition is appended
-        #: so a restarted coordinator can rebuild this queue.  Appends
+        #: so a restarted service can rebuild this queue.  Appends
         #: always happen *outside* ``_lock`` — the journal fsyncs and
         #: hosts a fault point, and neither may run under a lock.
         self.journal = journal
@@ -183,23 +175,19 @@ class JobQueue:
                 return
 
     # Submission --------------------------------------------------------
-    def submit(
-        self, spec: Dict, result_key: str, lane: str = LOCAL_LANE
-    ) -> Tuple[Job, bool]:
+    def submit(self, spec: Dict, result_key: str) -> Tuple[Job, bool]:
         """Register a new queued job; returns ``(job, deduplicated)``.
 
         When a live job with the same result key exists, that job is
         returned instead (``deduplicated=True``) and nothing new is
         enqueued.  Deduplicated submissions are never shed — they add
         no work — but a submission that *would* enqueue a new job while
-        ``max_queue_depth`` jobs are already pending (across every
-        lane) raises :class:`QueueFullError` instead of growing the
-        backlog, and one that cannot be durably journalled (disk quota
-        or ``ENOSPC``) is rolled back and re-raises
-        :class:`StorageExhausted` — accepted means recorded.
+        ``max_queue_depth`` jobs are already pending raises
+        :class:`QueueFullError` instead of growing the backlog, and one
+        that cannot be durably journalled (disk quota or ``ENOSPC``) is
+        rolled back and re-raises :class:`StorageExhausted` — accepted
+        means recorded.
         """
-        if lane not in LANES:
-            raise ValueError(f"unknown job lane {lane!r}")
         with self._lock:
             self.submitted += 1
             for job_id in reversed(self._order):
@@ -216,10 +204,7 @@ class JobQueue:
                 if depth >= self.max_queue_depth:
                     self.shed += 1
                     raise QueueFullError(depth, self.max_queue_depth)
-            job = Job(
-                id=self._new_id(), spec=spec, result_key=result_key,
-                lane=lane,
-            )
+            job = Job(id=self._new_id(), spec=spec, result_key=result_key)
             self._jobs[job.id] = job
             self._order.append(job.id)
             self._trim()
@@ -230,7 +215,6 @@ class JobQueue:
                     id=job.id,
                     spec=spec,
                     result_key=result_key,
-                    lane=lane,
                     created=job.created,
                 )
             except StorageExhausted:
@@ -243,7 +227,7 @@ class JobQueue:
                     self.submitted -= 1
                     self.shed += 1
                 raise
-        self._pending[lane].put(job.id)
+        self._pending.put(job.id)
         return job, False
 
     def add_cached(self, spec: Dict, result_key: str, payload: Dict) -> Job:
@@ -274,20 +258,16 @@ class JobQueue:
                 id=job.id,
                 spec=spec,
                 result_key=result_key,
-                lane=job.lane,
                 created=job.created,
             )
         return job
 
     # Worker side -------------------------------------------------------
-    def next_job(
-        self, timeout: float = 0.2, lane: str = LOCAL_LANE
-    ) -> Optional[Job]:
-        """Claim the next pending job (``running``) from ``lane``, or
-        ``None`` on timeout.  Jobs cancelled while queued are resolved
-        here."""
+    def next_job(self, timeout: float = 0.2) -> Optional[Job]:
+        """Claim the next pending job (``running``), or ``None`` on
+        timeout.  Jobs cancelled while queued are resolved here."""
         try:
-            job_id = self._pending[lane].get(timeout=timeout)
+            job_id = self._pending.get(timeout=timeout)
         except queue.Empty:
             return None
         resolved_cancel = False
@@ -324,8 +304,8 @@ class JobQueue:
         Job records are read by HTTP threads (``GET /v1/jobs/<id>``)
         while a worker thread mutates them, so the write goes through
         the queue's lock like every other job mutation.  The count is
-        monotonic: a job recovered at attempt 2 whose executor restarts
-        its local loop at 1 keeps reporting 2.
+        monotonic: a job recovered at attempt 2 whose worker restarts
+        its attempt loop at 1 keeps reporting 2.
         """
         with self._lock:
             job.attempts = max(job.attempts, attempt)
@@ -399,15 +379,10 @@ class JobQueue:
         with self._lock:
             return [self._jobs[job_id] for job_id in self._order]
 
-    def queue_depth(self, lane: Optional[str] = None) -> int:
-        """Number of jobs waiting for a worker — in ``lane``, or in
-        every lane when ``lane`` is ``None`` (the overload bound)."""
+    def queue_depth(self) -> int:
+        """Number of jobs waiting for a worker (the overload bound)."""
         with self._lock:
-            return sum(
-                1
-                for j in self._jobs.values()
-                if j.state == QUEUED and (lane is None or j.lane == lane)
-            )
+            return sum(1 for j in self._jobs.values() if j.state == QUEUED)
 
     def running_count(self) -> int:
         with self._lock:
@@ -436,12 +411,12 @@ class JobQueue:
         ``payloads`` maps result keys to store payloads the caller
         prefetched (store reads block, so they must not happen under
         this lock).  Jobs that were running at the crash re-enter the
-        queue at their recorded attempt count — their pre-crash leases
-        are dead, so ``queued`` is the truthful state.  Done jobs are
-        rehydrated from the store and never recomputed.  Returns the
-        number of jobs restored.
+        queue at their recorded attempt count — their pre-crash worker
+        children died with the process, so ``queued`` is the truthful
+        state.  Done jobs are rehydrated from the store and never
+        recomputed.  Returns the number of jobs restored.
         """
-        to_enqueue: List[Tuple[str, str]] = []
+        to_enqueue: List[str] = []
         with self._lock:
             for rec in recovered.jobs:
                 if rec.id in self._jobs:
@@ -450,7 +425,6 @@ class JobQueue:
                     id=rec.id,
                     spec=rec.spec,
                     result_key=rec.result_key,
-                    lane=rec.lane if rec.lane in LANES else LOCAL_LANE,
                     created=rec.created,
                     attempts=rec.attempts,
                     cached=rec.cached,
@@ -468,7 +442,7 @@ class JobQueue:
                     job.state = QUEUED
                     if rec.cancel_requested:
                         job.cancel_event.set()
-                    to_enqueue.append((job.lane, job.id))
+                    to_enqueue.append(job.id)
                 self._jobs[job.id] = job
                 self._order.append(job.id)
             self._serial = max(self._serial, recovered.job_serial)
@@ -480,8 +454,8 @@ class JobQueue:
             self.retries = counters.get("retries", 0)
             self.shed = counters.get("shed", 0)
             restored = len(self._order)
-        for lane, job_id in to_enqueue:
-            self._pending[lane].put(job_id)
+        for job_id in to_enqueue:
+            self._pending.put(job_id)
         return restored
 
     def snapshot_state(self) -> Dict:
@@ -496,7 +470,6 @@ class JobQueue:
                     "id": job.id,
                     "spec": job.spec,
                     "result_key": job.result_key,
-                    "lane": job.lane,
                     "state": job.state,
                     "attempts": job.attempts,
                     "created": job.created,

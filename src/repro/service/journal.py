@@ -1,13 +1,12 @@
-"""Write-ahead journal for the control plane: durable job/lease state.
+"""Write-ahead journal for the control plane: durable job state.
 
-The journal is what makes the coordinator restartable.  Every job
-state transition (``submitted``/``leased``/``attempt``/``progress``/
-``done``/``failed``/``cancelled``) and every recovery-relevant
-scheduler event (worker register/deregister/loss, lease issue/expiry/
-steal/completion) is appended to ``journal.log`` under the serve state
-directory as one integrity-enveloped canonical-JSON record — the same
-``FVCE1`` framing (:mod:`repro.common.integrity`) the data plane wraps
-around every persisted entry, applied per record::
+The journal is what makes ``repro-fvc serve`` restartable.  Every job
+state transition (``submitted``/``claimed``/``attempt``/``progress``/
+``done``/``failed``/``cancelled``) is appended to ``journal.log``
+under the serve state directory as one integrity-enveloped
+canonical-JSON record — the same ``FVCE1`` framing
+(:mod:`repro.common.integrity`) the data plane wraps around every
+persisted entry, applied per record::
 
     FVCE1\\n
     <sha256-hex> <payload-length>\\n
@@ -44,9 +43,14 @@ Lock discipline (CONC003): the journal's lock is a **leaf** lock —
 nothing called under it takes another lock, and no blocking primitive
 (``os.fsync``, fault points) runs inside it.  Appends are written +
 flushed under the lock for ordering and fsync'd after release (group
-commit); callers in :mod:`repro.service.jobs` and
-:mod:`repro.cluster.coordinator` append strictly *outside* their own
-component locks.
+commit); callers in :mod:`repro.service.jobs` append strictly
+*outside* the queue lock.
+
+**Older state directories** may also hold ``sched`` records, a
+``"sched"`` snapshot section and ``lane`` fields on job records,
+written when the service still ran a cell-leasing scheduler beside the
+worker pool.  Recovery ignores all three: every recovered job is
+queued on the worker pool.
 """
 
 from __future__ import annotations
@@ -160,10 +164,10 @@ class Journal:
     """Append-only, integrity-enveloped record log with snapshot +
     compaction and a byte quota.
 
-    Thread-safe; shared by the HTTP threads, the worker pool and the
-    cluster executor.  ``fsync=False`` trades the power-loss guarantee
-    for speed (tests); process crashes are still covered because the
-    bytes reach the kernel on every append.
+    Thread-safe; shared by the HTTP threads and the worker pool.
+    ``fsync=False`` trades the power-loss guarantee for speed (tests);
+    process crashes are still covered because the bytes reach the
+    kernel on every append.
     """
 
     def __init__(
@@ -543,7 +547,6 @@ class RecoveredJob:
     id: str
     spec: Dict
     result_key: str
-    lane: str
     state: str = "queued"
     attempts: int = 0
     created: float = 0.0
@@ -559,7 +562,6 @@ class RecoveredJob:
             "id": self.id,
             "spec": self.spec,
             "result_key": self.result_key,
-            "lane": self.lane,
             "state": self.state,
             "attempts": self.attempts,
             "created": self.created,
@@ -583,7 +585,6 @@ class RecoveredJob:
             id=str(raw["id"]),
             spec=dict(raw.get("spec") or {}),
             result_key=str(raw.get("result_key", "")),
-            lane=str(raw.get("lane", "local")),
             state=str(raw.get("state", "queued")),
             attempts=int(raw.get("attempts", 0)),
             created=float(raw.get("created", 0.0)),
@@ -605,15 +606,9 @@ class RecoveredState:
 
     jobs: List[RecoveredJob] = field(default_factory=list)
     queue_counters: Dict[str, int] = field(default_factory=dict)
-    sched_counters: Dict[str, int] = field(default_factory=dict)
-    #: Serial high-water marks — restored so post-crash ids can never
-    #: collide with ids pre-crash workers still hold.
+    #: Job-id serial high-water mark — restored so post-crash ids can
+    #: never collide with ids clients still hold.
     job_serial: int = 0
-    worker_serial: int = 0
-    lease_serial: int = 0
-    #: Highest scheduler-clock reading seen; the restarted scheduler
-    #: re-bases its monotonic clock here so TTL math stays correct.
-    epoch: float = 0.0
     replayed: int = 0
     torn: bool = False
 
@@ -621,12 +616,11 @@ class RecoveredState:
 _LIVE_STATES = ("queued", "running")
 _TERMINAL_STATES = ("done", "failed", "cancelled")
 
-def _trailing_serial(identifier: str, prefix: str) -> int:
-    """``w-0012`` → 12, ``lease-000007`` → 7, ``job-00031-ab12cd34`` → 31."""
-    if not identifier.startswith(prefix):
+def _job_serial(job_id: str) -> int:
+    """``job-00031-ab12cd34`` → 31."""
+    if not job_id.startswith("job-"):
         return 0
-    rest = identifier[len(prefix):]
-    digits = rest.split("-", 1)[0]
+    digits = job_id[len("job-"):].split("-", 1)[0]
     try:
         return int(digits)
     except ValueError:
@@ -653,11 +647,6 @@ def recover(journal: Journal) -> RecoveredState:
             order.append(job.id)
         state.queue_counters = dict(queue_state.get("counters") or {})
         state.job_serial = int(queue_state.get("serial", 0))
-        sched_state = snapshot_state.get("sched") or {}
-        state.sched_counters = dict(sched_state.get("counters") or {})
-        state.worker_serial = int(sched_state.get("worker_serial", 0))
-        state.lease_serial = int(sched_state.get("lease_serial", 0))
-        state.epoch = float(sched_state.get("epoch", 0.0))
 
     def bump(name: str, amount: int = 1) -> None:
         state.queue_counters[name] = (
@@ -673,7 +662,6 @@ def recover(journal: Journal) -> RecoveredState:
                     id=job_id,
                     spec=dict(record.get("spec") or {}),
                     result_key=str(record.get("result_key", "")),
-                    lane=str(record.get("lane", "local")),
                     created=float(record.get("created", 0.0)),
                 )
                 order.append(job_id)
@@ -685,7 +673,6 @@ def recover(journal: Journal) -> RecoveredState:
                     id=job_id,
                     spec=dict(record.get("spec") or {}),
                     result_key=str(record.get("result_key", "")),
-                    lane=str(record.get("lane", "local")),
                     created=float(record.get("created", 0.0)),
                     state="done",
                     cached=True,
@@ -732,27 +719,11 @@ def recover(journal: Journal) -> RecoveredState:
                 job.cancel_requested = True
         elif kind == "job.retry":
             bump("retries")
-        elif kind == "sched":
-            worker = record.get("worker")
-            if isinstance(worker, str):
-                state.worker_serial = max(
-                    state.worker_serial, _trailing_serial(worker, "w-")
-                )
-            lease = record.get("lease")
-            if isinstance(lease, str):
-                state.lease_serial = max(
-                    state.lease_serial, _trailing_serial(lease, "lease-")
-                )
-            t = record.get("t")
-            if isinstance(t, (int, float)):
-                state.epoch = max(state.epoch, float(t))
-        # Unknown kinds (markers, future schema growth) are skipped —
-        # replay tolerates forward-compatible records.
+        # Unknown kinds (markers, older ``sched`` records, future schema
+        # growth) are skipped — replay tolerates them.
 
     state.jobs = [jobs[job_id] for job_id in order]
     for job in state.jobs:
-        state.job_serial = max(
-            state.job_serial, _trailing_serial(job.id, "job-")
-        )
+        state.job_serial = max(state.job_serial, _job_serial(job.id))
     journal.counters["recovered_jobs"] += len(state.jobs)
     return state

@@ -15,13 +15,6 @@ Endpoints (all JSON, all under ``/v1``):
                                   pre-catalog flat keys are retired);
                                   ``?format=prom`` renders Prometheus text
 ``GET /v1/healthz``               liveness probe + degradation state
-``POST /v1/workers``              register a cluster worker
-``POST /v1/workers/<id>/heartbeat``  refresh a worker's liveness clock
-``DELETE /v1/workers/<id>``       deregister (graceful worker goodbye)
-``GET /v1/workers``               fabric topology + queue state
-``POST /v1/cells/lease``          pull cell leases for a worker
-``POST /v1/cells/<id>/result``    push one computed cell payload
-``GET /v1/traces/<wl>/<input>``   enveloped trace-cache entry bytes
 ``POST /v1/sweeps``               submit a ``sweep/v1`` spec; expands into
                                   cell jobs through the queue (idempotent by
                                   content address)
@@ -32,9 +25,7 @@ Endpoints (all JSON, all under ``/v1``):
 
 The server is a :class:`http.server.ThreadingHTTPServer` — requests are
 cheap bookkeeping; all simulation happens in the worker pool's child
-processes, or — when cluster workers are registered — in the remote
-worker processes the :class:`~repro.cluster.ClusterScheduler` leases
-cells to (``docs/CLUSTER.md``).  ``repro-fvc serve`` wires
+processes.  ``repro-fvc serve`` wires
 SIGTERM/SIGINT to a graceful drain: stop accepting, finish every
 accepted job, exit.
 
@@ -100,15 +91,6 @@ class ServiceConfig:
     max_queue_depth: Optional[int] = 256
     #: Floor for the 503 ``Retry-After`` hint, seconds.
     retry_after_floor: float = 1.0
-    #: Cluster: how long a granted cell lease stays valid before it is
-    #: revoked and re-issued (worker-loss recovery latency).  Mirrors
-    #: :data:`repro.cluster.protocol.DEFAULT_LEASE_SECONDS`.
-    cluster_lease_timeout: float = 30.0
-    #: Cluster: how long a silent worker stays registered.  Mirrors
-    #: :data:`repro.cluster.protocol.DEFAULT_WORKER_TTL_SECONDS`.
-    cluster_worker_ttl: float = 10.0
-    #: Cluster: coordinator threads driving ``cluster``-lane jobs.
-    cluster_dispatchers: int = 2
     #: Control-plane durability: directory for the write-ahead journal
     #: and its snapshots (``--state-dir``).  ``None`` disables the
     #: journal — the pre-durability behaviour, and what embedded test
@@ -168,28 +150,6 @@ class ReproService:
             on_done=self._store_result,
             registry=self.registry,
         )
-        # Imported lazily: repro.cluster leans on repro.service.api, so
-        # a module-level import here would be circular.
-        from repro.cluster.coordinator import ClusterExecutor, ClusterScheduler
-
-        #: Coordinator-side cluster fabric: worker registry, lease
-        #: table, pending-cell queue (docs/CLUSTER.md).
-        self.cluster = ClusterScheduler(
-            store=self.store,
-            registry=self.registry,
-            lease_timeout=self.config.cluster_lease_timeout,
-            worker_ttl=self.config.cluster_worker_ttl,
-            journal=self.journal,
-        )
-        self.cluster_exec = ClusterExecutor(
-            self.jobs,
-            self.cluster,
-            on_done=self._store_result,
-            dispatchers=self.config.cluster_dispatchers,
-            registry=self.registry,
-        )
-        # Imported lazily for symmetry with the cluster wiring:
-        # repro.service.sweeps leans on repro.service.api.
         from repro.service.sweeps import SweepBoard
 
         #: Sweep fan-out/assembly over the job queue (``/v1/sweeps``).
@@ -205,12 +165,9 @@ class ReproService:
 
     # Durability --------------------------------------------------------
     def _gather_state(self) -> Dict:
-        """Everything a journal snapshot captures (job queue +
-        scheduler); called by the journal with no locks held."""
-        return {
-            "queue": self.jobs.snapshot_state(),
-            "sched": self.cluster.snapshot_state(),
-        }
+        """Everything a journal snapshot captures (the job queue);
+        called by the journal with no locks held."""
+        return {"queue": self.jobs.snapshot_state()}
 
     def _recover(self) -> None:
         """Rebuild the control plane from journal + snapshot (startup).
@@ -218,12 +175,7 @@ class ReproService:
         Runs before any worker thread or HTTP socket exists, so no
         locks are contended.  Done jobs are rehydrated from the result
         store (zero recomputation); jobs that were queued or running
-        re-enter the queue at their recorded attempt count; every
-        pre-crash lease is implicitly dead (the scheduler starts with
-        an empty lease table but serial high-water marks and clock
-        epoch restored, so stale pushes are acked stale and TTL math
-        stays monotonic).  Pre-crash workers re-attach through their
-        heartbeat ``known: false`` re-register loop.
+        re-enter the queue at their recorded attempt count.
         """
         if self.journal is None:
             return
@@ -243,12 +195,6 @@ class ReproService:
                 if blob is not None:
                     payloads[rec.result_key] = json.loads(blob)
             restored = self.jobs.restore(recovered, payloads)
-            self.cluster.restore(
-                worker_serial=recovered.worker_serial,
-                lease_serial=recovered.lease_serial,
-                epoch=recovered.epoch,
-                counters=recovered.sched_counters,
-            )
             self.journal.append_safe(
                 "recovered",
                 jobs=restored,
@@ -276,25 +222,6 @@ class ReproService:
         result-store residency."""
         return self.store.put(job.result_key, payload_bytes(payload))
 
-    def _pick_lane(self, spec: Dict) -> str:
-        """Which lane executes a new job: the ``cluster`` lane when
-        live workers are registered and the spec decomposes into cells
-        (cell specs always do; experiments when they plan cells), the
-        local worker pool otherwise."""
-        from repro.service.jobs import CLUSTER_LANE, LOCAL_LANE
-
-        if self.cluster.live_worker_count() == 0:
-            return LOCAL_LANE
-        if spec["type"] == "cell":
-            return CLUSTER_LANE
-        if spec["type"] == "experiment":
-            from repro.experiments.registry import get_experiment
-
-            experiment = get_experiment(spec["experiment_id"])
-            if experiment.plan_cells(spec["fast"]) is not None:
-                return CLUSTER_LANE
-        return LOCAL_LANE
-
     def submit(self, raw_spec: object) -> Tuple[Dict, int]:
         """Handle one submission; returns ``(body, http_status)``."""
         spec = normalise_spec(raw_spec)
@@ -305,9 +232,7 @@ class ReproService:
             body = job.as_dict()
             body["deduplicated"] = False
             return body, 200
-        job, deduplicated = self.jobs.submit(
-            spec, key, lane=self._pick_lane(spec)
-        )
+        job, deduplicated = self.jobs.submit(spec, key)
         body = job.as_dict()
         body["deduplicated"] = deduplicated
         return body, 200 if deduplicated else 202
@@ -411,8 +336,6 @@ class ReproService:
             gauges["storage_exhausted"] = journal["exhausted"]
         for name, value in gauges.items():
             samples[name] = {"type": "gauge", "value": value}
-        # Cluster fabric state (registrations, leases, steals).
-        samples.update(self.cluster.metric_samples())
         # Sweep board state (tracked sweeps).
         samples.update(self.sweeps.metric_samples())
         # Request counters/latency and worker attempts live in the
@@ -456,7 +379,6 @@ class ReproService:
         )
         self._httpd.daemon_threads = True
         self.pool.start()
-        self.cluster_exec.start()
         if self.journal is not None and self._maint_thread is None:
             self._maint_stop.clear()
             self._maint_thread = threading.Thread(
@@ -486,7 +408,6 @@ class ReproService:
         if self._http_thread is not None:
             self._http_thread.join(timeout=5.0)
             self._http_thread = None
-        self.cluster_exec.stop(drain=drain, timeout=timeout)
         self.pool.stop(drain=drain, timeout=timeout)
         if self._maint_thread is not None:
             self._maint_stop.set()
@@ -659,8 +580,6 @@ def _make_handler(service: ReproService, quiet: bool = True):
                     self._error(404, f"no such result: {route[2]}")
                 else:
                     self._send(200, payload, "application/json")
-            elif route == ("v1", "workers"):
-                self._json(200, service.cluster.workers_view())
             elif route == ("v1", "sweeps"):
                 self._json(200, {"sweeps": service.sweeps.views()})
             elif len(route) == 3 and route[:2] == ("v1", "sweeps"):
@@ -669,17 +588,6 @@ def _make_handler(service: ReproService, quiet: bool = True):
                     self._error(404, f"no such sweep: {route[2]}")
                 else:
                     self._json(200, view)
-            elif len(route) == 4 and route[:2] == ("v1", "traces"):
-                try:
-                    blob = service.cluster.trace_entry_bytes(
-                        route[2], route[3]
-                    )
-                except ReproError as exc:
-                    self._error(404, str(exc))
-                except OSError as exc:
-                    self._error(500, f"trace entry unavailable: {exc}")
-                else:
-                    self._send(200, blob, "application/octet-stream")
             else:
                 self._error(404, f"no such endpoint: {self.path}")
 
@@ -741,59 +649,6 @@ def _make_handler(service: ReproService, quiet: bool = True):
                     self._error(400, str(exc))
                     return
                 self._json(status, body)
-            elif route == ("v1", "workers"):
-                raw = self._read_json()
-                if raw is None:
-                    return
-                raw = raw if isinstance(raw, dict) else {}
-                grant = service.cluster.register(
-                    name=str(raw.get("name", "worker")),
-                    pid=raw.get("pid"),
-                    host=raw.get("host"),
-                )
-                self._json(200, grant)
-            elif (
-                len(route) == 4
-                and route[:2] == ("v1", "workers")
-                and route[3] == "heartbeat"
-            ):
-                try:
-                    self._json(200, service.cluster.heartbeat(route[2]))
-                except (FaultInjected, OSError) as exc:
-                    self._error(500, f"injected cluster fault: {exc}")
-            elif route == ("v1", "cells", "lease"):
-                raw = self._read_json()
-                if raw is None:
-                    return
-                raw = raw if isinstance(raw, dict) else {}
-                try:
-                    grant = service.cluster.lease(
-                        str(raw.get("worker_id", "")),
-                        max_leases=int(raw.get("max_leases", 1)),
-                    )
-                except (FaultInjected, OSError) as exc:
-                    self._error(500, f"injected cluster fault: {exc}")
-                    return
-                self._json(200, grant)
-            elif (
-                len(route) == 4
-                and route[:2] == ("v1", "cells")
-                and route[3] == "result"
-            ):
-                raw = self._read_json()
-                if raw is None:
-                    return
-                raw = raw if isinstance(raw, dict) else {}
-                try:
-                    verdict = service.cluster.complete(
-                        route[2],
-                        str(raw.get("worker_id", "")),
-                        raw.get("payload"),
-                    )
-                except (FaultInjected, OSError) as exc:
-                    self._error(500, f"injected cluster fault: {exc}")
-                    return
-                self._json(200, verdict)
             else:
                 self._error(404, f"no such endpoint: {self.path}")
 
@@ -807,11 +662,6 @@ def _make_handler(service: ReproService, quiet: bool = True):
                     self._error(404, f"no such job: {route[2]}")
                 else:
                     self._json(202, job.as_dict(include_result=False))
-            elif len(route) == 3 and route[:2] == ("v1", "workers"):
-                if service.cluster.deregister(route[2]):
-                    self._json(200, {"removed": True})
-                else:
-                    self._error(404, f"no such worker: {route[2]}")
             else:
                 self._error(404, f"no such endpoint: {self.path}")
 

@@ -6,7 +6,7 @@ job through :meth:`ReproService.submit` — so each cell gets the full
 job contract for free: the result-store memo (a cell shared by two
 sweeps, or already computed by a plain ``POST /v1/jobs``, is never
 simulated twice), in-flight deduplication, the journaled queue and
-crash recovery, retry/timeout handling, and cluster-lane dispatch.
+crash recovery, and the worker pool's retry/timeout handling.
 
 The sweep itself is *assembly state, not queue state*: the board
 tracks which jobs make up each sweep and, once all of them are done,
@@ -16,7 +16,7 @@ function the local runner uses (:func:`repro.sweeps.runner
 result key.  A served sweep's bytes are therefore identical to a
 local ``run_sweep``'s, and a re-posted sweep whose payload is still
 resident is answered without touching the queue at all.  After a
-coordinator crash the sweep *jobs* recover from the journal; the
+service crash the sweep *jobs* recover from the journal; the
 board's mapping does not — re-POST the spec (idempotent, content
 addressed) to resume tracking, and every finished cell is answered
 from the store.

@@ -152,7 +152,7 @@ class WorkerPool:
             # carries a set cancel_event, so claiming it marks it
             # cancelled rather than running (next_job returns None for
             # each, hence the depth-based loop condition).
-            while self.queue.queue_depth(lane=jobstates.LOCAL_LANE):
+            while self.queue.queue_depth():
                 self.queue.next_job(timeout=0.01)
 
     def join(self, timeout: Optional[float] = None) -> bool:
@@ -170,7 +170,7 @@ class WorkerPool:
             if self._stop.is_set():
                 if not self._draining.is_set():
                     return
-                if not self.queue.queue_depth(lane=jobstates.LOCAL_LANE):
+                if not self.queue.queue_depth():
                     return
             job = self.queue.next_job(timeout=0.1)
             if job is not None:

@@ -4,7 +4,7 @@ cells.
 The expander is a pure function of the canonical spec: the same spec
 produces the same :class:`SweepPoint` list — same cells, same order —
 in every process on every machine, which is what lets a sweep run
-through ``--jobs N``, the service or the cluster and still produce
+through ``--jobs N`` or the service and still produce
 bytes identical to a sequential run (the engine merges cell results in
 plan order; see :func:`repro.engine.runner.run_cells`).
 
@@ -206,7 +206,7 @@ def unique_cells(points: Sequence[SweepPoint]) -> List[SimCell]:
     Sweeps may expand the same cell under several arms or coordinate
     combinations; executing the distinct set once and fanning the
     results back out is what the service's result-store memo does
-    cluster-wide, applied locally.
+    across jobs, applied within one sweep.
     """
     seen = set()
     ordered: List[SimCell] = []

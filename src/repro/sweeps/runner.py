@@ -40,7 +40,7 @@ def sweep_payload(
     """Assemble the canonical result payload of a cell sweep.
 
     Pure: every execution path — local sequential, ``--jobs N``, the
-    service, the cluster — converges here with the same snapshots in
+    service — converges here with the same snapshots in
     the same (expansion) order, and therefore emits the same bytes.
     """
     headers, rows = build_report(spec, points, snapshots)
@@ -89,13 +89,12 @@ def run_sweep(
     store=None,
     jobs: int = 1,
     progress=None,
-    executor=None,
 ) -> Dict[str, object]:
     """Execute a normalised sweep spec and return its
     ``sweep.result/1`` payload.
 
-    ``jobs`` / ``progress`` / ``executor`` carry the engine's existing
-    cell-runner contract; results merge in plan order, so any ``jobs``
+    ``jobs`` / ``progress`` carry the engine's existing cell-runner
+    contract; results merge in plan order, so any ``jobs``
     value yields identical payload bytes.
     """
     if is_experiment_sweep(spec):
@@ -109,7 +108,6 @@ def run_sweep(
             fast=arm["fast"],
             jobs=jobs,
             progress=progress,
-            executor=executor,
         )
         return experiment_sweep_payload(spec, experiment_payload(result))
 
@@ -117,13 +115,7 @@ def run_sweep(
 
     points = expand(spec)
     distinct = unique_cells(points)
-    results = run_cells(
-        distinct,
-        jobs=jobs,
-        store=store,
-        progress=progress,
-        executor=executor,
-    )
+    results = run_cells(distinct, jobs=jobs, store=store, progress=progress)
     by_cell: Dict[object, Snapshot] = {
         cell: (result.stats, result.extras)
         for cell, result in zip(distinct, results)

@@ -65,14 +65,32 @@ class TestInjectedViolationCaught:
         assert all(f.path.endswith("fvc/cache.py") for f in det001)
 
     def test_planted_unguarded_shared_write_fails_lint(self, tmp_path):
-        """The CI lint gate's concurrency probe: copy the tree, strip
-        the lock from a known-shared write in ``service/client.py``,
-        and the lint run must go non-zero with CONC001 at that line."""
+        """The CI lint gate's concurrency probe: copy the tree, share
+        one ``ServiceClient`` between two threads (a use the client
+        supports), strip the lock from its retry counter in
+        ``service/client.py``, and the lint run must go non-zero with
+        CONC001 at that line."""
         root = tmp_path / "repro"
         shutil.copytree(
             SRC / "repro",
             root,
             ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (root / "service" / "shared_client.py").write_text(
+            "import threading\n"
+            "\n"
+            "from repro.service.client import ServiceClient\n"
+            "\n"
+            "\n"
+            "def poll(client: ServiceClient) -> None:\n"
+            "    client.healthz()\n"
+            "\n"
+            "\n"
+            "def poll_twice(client: ServiceClient) -> None:\n"
+            "    thread = threading.Thread(target=poll, args=(client,))\n"
+            "    thread.start()\n"
+            "    poll(client)\n"
+            "    thread.join()\n"
         )
         target = root / "service" / "client.py"
         source = target.read_text()

@@ -25,10 +25,6 @@ def make_journal(path) -> Journal:
 def empty_state():
     return {
         "queue": {"jobs": [], "serial": 0, "counters": {}},
-        "sched": {
-            "worker_serial": 0, "lease_serial": 0,
-            "epoch": 0.0, "counters": {},
-        },
     }
 
 

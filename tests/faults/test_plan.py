@@ -43,6 +43,11 @@ class TestParsing:
             "nonsense",
             "trace_cache.read:",
             "no.such.site:io_error",
+            # The sites of the deleted cell-lease fabric are unknown now.
+            *(
+                f"cluster.{leg}:io_error@1"
+                for leg in ("lease", "heartbeat", "result")
+            ),
             "trace_cache.read:no_such_action",
             "engine.cell:bitflip",  # data action at a data-free site
             "trace_cache.read:io_error@0",  # ordinals are 1-based

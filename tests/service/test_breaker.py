@@ -202,9 +202,9 @@ class TestClientIntegration:
 
 class TestRetryCounterThreadSafety:
     def test_concurrent_retries_never_lose_increments(self):
-        """The retry counter is shared between the cluster worker's
-        heartbeat thread and its lease loop; increments go through the
-        client's stats lock, so none are lost under contention."""
+        """One client may be shared by several threads; retry-counter
+        increments go through the client's stats lock, so none are lost
+        under contention."""
         client = ServiceClient(
             "http://stub.invalid",
             retry=RetryPolicy(retries=1, backoff=0.0, jitter=0.0),

@@ -23,17 +23,11 @@ def make_journal(path, **kwargs) -> Journal:
     return Journal(path, **kwargs)
 
 
-def empty_state(jobs=(), serial=0, epoch=0.0):
+def empty_state(jobs=(), serial=0):
     return {
         "queue": {
             "jobs": list(jobs),
             "serial": serial,
-            "counters": {},
-        },
-        "sched": {
-            "worker_serial": 0,
-            "lease_serial": 0,
-            "epoch": epoch,
             "counters": {},
         },
     }
@@ -44,7 +38,7 @@ class TestAppendReplay:
         journal = make_journal(tmp_path)
         journal.append(
             "job.submit", id="job-00001-aa", spec={"type": "cell"},
-            result_key="k1", lane="local", created=1.0,
+            result_key="k1", created=1.0,
         )
         journal.append("job.claim", id="job-00001-aa")
         journal.append("job.finish", id="job-00001-aa", state="done")
@@ -172,7 +166,7 @@ class TestSnapshotCompaction:
         for index in range(500):
             journal.append(
                 "job.submit", id=f"job-{index:05d}-ab", spec={},
-                result_key=f"k{index}", lane="local", created=float(index),
+                result_key=f"k{index}", created=float(index),
             )
             journal.append("job.claim", id=f"job-{index:05d}-ab")
             journal.append(
@@ -254,14 +248,13 @@ class TestSnapshotTailEquivalence:
                     if job_id not in jobs:
                         jobs[job_id] = {
                             "id": job_id, "spec": {}, "result_key": job_id,
-                            "lane": "local", "state": "queued",
+                            "state": "queued",
                             "attempts": 0, "created": float(index),
                         }
                         order.append(job_id)
                         journal.append(
                             "job.submit", id=job_id, spec={},
-                            result_key=job_id, lane="local",
-                            created=float(index),
+                            result_key=job_id, created=float(index),
                         )
                 elif job_id in jobs:
                     job = jobs[job_id]
@@ -289,10 +282,6 @@ class TestSnapshotTailEquivalence:
                                      for j in order],
                             "serial": 5,
                             "counters": {},
-                        },
-                        "sched": {
-                            "worker_serial": 0, "lease_serial": 0,
-                            "epoch": 0.0, "counters": {},
                         },
                     }
                     assert journal.snapshot(lambda: state)

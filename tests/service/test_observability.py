@@ -67,12 +67,6 @@ class TestMetricsV1:
         ):
             assert legacy not in metrics
 
-    def test_cluster_metrics_are_registered(self, client, finished_job):
-        structured = client.metrics()["metrics"]
-        assert structured["cluster_workers"]["type"] == "gauge"
-        assert structured["cluster_leases_issued_total"]["type"] == "counter"
-        assert structured["cluster_pending_cells"]["value"] == 0
-
     def test_prometheus_exposition(self, client, finished_job):
         body = client._request("GET", "/v1/metrics?format=prom").decode()
         lines = body.splitlines()

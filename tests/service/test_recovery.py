@@ -38,6 +38,7 @@ class TestQueueJournalling:
             "job.submit", "job.claim", "job.attempt", "job.progress",
             "job.finish",
         ]
+        assert not any("lane" in record for record in tail)
 
     def test_storage_exhausted_submission_rolls_back(self, tmp_path):
         exhausted = Journal(tmp_path / "state", fsync=False, quota_bytes=1)
@@ -231,3 +232,73 @@ class TestServiceRecovery:
             assert service.jobs.stats()["shed"] == 1
         finally:
             service.stop(drain=False)
+
+    def test_older_state_dir_with_scheduler_records_recovers(
+        self, tmp_path, capsys
+    ):
+        """A state dir written while the service still ran a cell-leasing
+        scheduler beside the worker pool: ``sched`` records, a
+        ``"sched"`` snapshot section and a ``lane: "cluster"`` job.  The
+        scheduler parts are ignored, the job runs on the worker pool,
+        and its payload bytes match a local run."""
+        from repro.cli import main
+        from repro.service.api import (
+            execute_spec,
+            normalise_spec,
+            payload_bytes,
+            result_key,
+        )
+
+        spec = normalise_spec(
+            {"type": "experiment", "experiment_id": "fig9", "fast": True}
+        )
+        key = result_key(spec)
+        job_id = "job-00001-0123abcd"
+        old = make_journal(tmp_path / "state")
+        old.append("sched", ev="register", worker="w-0001", t=0.5)
+        old.snapshot(
+            lambda: {
+                "queue": {"jobs": [], "serial": 0, "counters": {}},
+                "sched": {
+                    "worker_serial": 1,
+                    "lease_serial": 0,
+                    "epoch": 0.5,
+                    "counters": {},
+                },
+            }
+        )
+        old.append(
+            "job.submit", id=job_id, spec=spec, result_key=key,
+            lane="cluster", created=1.0,
+        )
+        old.append("job.claim", id=job_id)
+        old.append("job.attempt", id=job_id, n=1)
+        old.append(
+            "sched", ev="issue", worker="w-0001", lease="lease-000001",
+            t=1.5,
+        )
+        old.close()
+
+        state_dir = str(old.directory)
+        assert main(["journal", "fsck", "--state-dir", state_dir]) == 0
+        assert main(["journal", "info", "--state-dir", state_dir]) == 0
+        info = capsys.readouterr().out
+        assert "jobs: 1 (1 running)" in info
+        assert "scheduler" not in info
+
+        service = ReproService(self.config(tmp_path)).start()
+        try:
+            assert service.recovery["jobs"] == 1
+            end = time.time() + 120
+            while time.time() < end:
+                if service.jobs.get(job_id).state == "done":
+                    break
+                time.sleep(0.1)
+            job = service.jobs.get(job_id)
+            assert job.state == "done"
+            assert job.as_dict()["lane"] == "local"
+            assert payload_bytes(job.payload) == payload_bytes(
+                execute_spec(spec)
+            )
+        finally:
+            service.stop(drain=True)
