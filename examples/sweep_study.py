@@ -9,7 +9,8 @@ simulation cells and aggregates into a report table:
 1. run a catalogued study (``l1_size_study``) through the facade;
 2. load the custom spec next to this script
    (``line_size_sweep.json``) and run it — the same file works with
-   ``repro-fvc run examples/line_size_sweep.json`` and with
+   ``repro-fvc sweep run examples/line_size_sweep.json``, with
+   ``repro-fvc submit examples/line_size_sweep.json --wait`` and with
    ``POST /v1/sweeps``, byte-identically.
 
 Run:  python examples/sweep_study.py
@@ -22,8 +23,8 @@ from repro import api
 
 
 def main() -> None:
-    # 1. The catalog: every fig*/table* experiment plus standalone
-    #    studies, inspectable without running anything.
+    # 1. The catalog: the paper's cell-grid studies plus standalone
+    #    ones, inspectable without running anything.
     print("catalogued sweeps:", ", ".join(api.list_sweeps()))
     shape = api.describe_sweep("l1_size_study", fast=True)
     print(

@@ -15,7 +15,6 @@ PERF0xx  performance (vectorized-kernel discipline)
 CONC0xx  whole-program lock discipline (repro.analysis.model)
 PROTO0xx /v1 protocol conformance (server vs clients vs docs)
 COV0xx   catalog liveness (fault sites tested, metrics emitted)
-SWEEP0xx declarative-sweep backing of the experiment registry
 ======== ==========================================================
 """
 
@@ -42,7 +41,6 @@ from repro.analysis.rules.perf import NoPerRecordKernelLoops
 from repro.analysis.rules.proto import ClientCallsUnknownRoute, RouteContractDrift
 from repro.analysis.rules.registry import RegistryConsistency
 from repro.analysis.rules.stats import CountersDeclaredAndReported
-from repro.analysis.rules.sweeps import SweepBackedExperiments
 
 #: Default rule set, code order.
 ALL_RULES: Tuple[Rule, ...] = (
@@ -62,7 +60,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     RouteContractDrift(),
     FaultSitesExercised(),
     MetricNamesEmitted(),
-    SweepBackedExperiments(),
 )
 
 __all__ = [
@@ -86,5 +83,4 @@ __all__ = [
     "RegistryConsistency",
     "RouteContractDrift",
     "SharedWriteWithoutLock",
-    "SweepBackedExperiments",
 ]

@@ -286,8 +286,9 @@ def describe_sweep(spec, *, fast: bool = False) -> Dict:
 
 
 def list_sweeps() -> List[str]:
-    """Every catalogued sweep name (the 16 ``fig*``/``table*`` paper
-    studies plus the cross-cutting studies), sorted."""
+    """Every catalogued sweep name, sorted: the cell-grid paper studies
+    (fig10, fig12, fig13, fig14) plus ``l1_size_study``.  The other
+    studies are experiments (:func:`list_experiments`)."""
     from repro.sweeps.catalog import sweep_names
 
     return sweep_names()

@@ -25,7 +25,6 @@ Sweep mode (see docs/SWEEPS.md) — declarative parameter studies::
     repro-fvc sweep run spec.json --json      # canonical sweep.result/1
     repro-fvc sweep expand fig13 --fast       # show every planned cell
     repro-fvc sweep report fig14 --format csv -o fig14.csv
-    repro-fvc run spec.json --json            # 'run' accepts spec files
     repro-fvc submit spec.json --wait         # POST /v1/sweeps + await
 
 Service mode (see docs/SERVICE.md)::
@@ -90,18 +89,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--json excludes --csv/--chart", file=sys.stderr)
         return 2
 
-    fast = args.fast or args.scale == "test"
     if _sweep_spec_source(args.experiment):
-        # A sweep/v1 spec file runs the declarative sweep path
-        # (docs/SWEEPS.md); malformed documents fail with an error
-        # naming the sweep/v1 contract.
-        if args.json:
-            fmt = "json"
-        elif args.csv:
-            fmt = "csv"
-        else:
-            fmt = "table"
-        return _run_sweep_to(args.experiment, fast, args.jobs, fmt, None)
+        print(
+            "error: 'run' takes experiment ids; run a sweep/v1 spec file "
+            f"with 'repro-fvc sweep run {args.experiment}'",
+            file=sys.stderr,
+        )
+        return 2
+
+    fast = args.fast or args.scale == "test"
     if args.sanitize:
         from repro.analysis import sanitize
 
@@ -571,8 +567,8 @@ def _emit_sweep(payload, fmt: str, output) -> int:
 
 
 def _run_sweep_to(token, fast, jobs, fmt, output) -> int:
-    """Resolve, execute and emit one sweep (shared by ``sweep run``,
-    ``sweep report`` and ``run <spec.json>``)."""
+    """Resolve, execute and emit one sweep (shared by ``sweep run``
+    and ``sweep report``)."""
     from repro.common.errors import ConfigurationError
     from repro.sweeps.runner import run_sweep
 
@@ -587,20 +583,13 @@ def _run_sweep_to(token, fast, jobs, fmt, output) -> int:
 
 def _cmd_sweep_list(_args: argparse.Namespace) -> int:
     from repro.sweeps.catalog import get_sweep, sweep_names
-    from repro.sweeps.spec import is_experiment_sweep
 
     for name in sweep_names():
         spec = get_sweep(name)
-        if is_experiment_sweep(spec):
-            arm = spec["arms"][0]
-            shape = f"experiment wrapper ({arm['experiment_id']})"
-        else:
-            axes = ", ".join(
-                f"{axis}[{len(values)}]"
-                for axis, values in spec["axes"].items()
-            )
-            shape = f"{len(spec['arms'])} arm(s) x {axes}"
-        print(f"  {name:22s} {shape}")
+        axes = ", ".join(
+            f"{axis}[{len(values)}]" for axis, values in spec["axes"].items()
+        )
+        print(f"  {name:22s} {len(spec['arms'])} arm(s) x {axes}")
     return 0
 
 
@@ -618,7 +607,6 @@ def _cmd_sweep_expand(args: argparse.Namespace) -> int:
     from repro.common.errors import ConfigurationError
     from repro.sweeps.expand import expand
     from repro.sweeps.runner import describe_sweep
-    from repro.sweeps.spec import is_experiment_sweep
 
     try:
         spec = _resolve_cli_sweep(args.sweep, args.fast)
@@ -631,9 +619,6 @@ def _cmd_sweep_expand(args: argparse.Namespace) -> int:
         f"points={description['points']}  "
         f"distinct_cells={description['distinct_cells']}"
     )
-    if is_experiment_sweep(spec):
-        print(f"  wraps experiment {description['experiment_id']}")
-        return 0
     for point in expand(spec):
         coords = " ".join(
             f"{axis}={value}" for axis, value in point.coords.items()
@@ -758,12 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="run one experiment (or 'all', or a sweep/v1 spec file)",
+        help="run one experiment (or 'all')",
     )
     run.add_argument(
         "experiment",
-        help="experiment id, e.g. fig10, 'all', or a sweep/v1 spec "
-        "file (.json)",
+        help="experiment id, e.g. fig10, or 'all' (sweep/v1 spec files "
+        "run with 'sweep run')",
     )
     run.add_argument(
         "--fast", action="store_true", help="reduced configuration (tests)"

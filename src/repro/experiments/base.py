@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.engine.cells import CellResult, SimCell, run_cell
+from repro.engine.cells import CellResult, SimCell
 from repro.workloads.store import TraceStore, shared_store
 
 Row = Dict[str, object]
@@ -70,8 +69,12 @@ class ExperimentResult:
         return None
 
 
-class Experiment(ABC):
+class Experiment:
     """One reproducible table/figure.
+
+    An experiment either decomposes into engine cells — it defines
+    :meth:`plan_cells` and :meth:`merge_cells` and inherits
+    :meth:`run` — or overrides :meth:`run` with its own computation.
 
     ``fast=True`` runs a reduced version (test inputs, fewer
     configurations) used by the unit-test suite; the benchmark suite
@@ -85,11 +88,16 @@ class Experiment(ABC):
     #: Where in the paper the artefact lives.
     paper_reference: str = ""
 
-    @abstractmethod
     def run(
         self, store: Optional[TraceStore] = None, fast: bool = False
     ) -> ExperimentResult:
-        """Execute the experiment and return its result."""
+        """Execute the experiment sequentially and return its result.
+
+        Cell experiments inherit this: their plan runs through
+        :meth:`run_with_engine`.  Experiments without a cell plan
+        override it.
+        """
+        return self.run_with_engine(store, fast=fast)
 
     # Engine integration ---------------------------------------------------
     def plan_cells(self, fast: bool = False) -> Optional[List[SimCell]]:
@@ -98,8 +106,8 @@ class Experiment(ABC):
         sweeps whose configurations share warm simulator state).
 
         Experiments that implement this must also implement
-        :meth:`merge_cells`, and should express :meth:`run` through the
-        same pair so sequential and parallel runs share one code path.
+        :meth:`merge_cells`; sequential and parallel runs then share
+        the one code path of :meth:`run_with_engine`.
         """
         return None
 
@@ -116,8 +124,8 @@ class Experiment(ABC):
         )
 
     def sweep_backing(self, fast: bool = False) -> Dict[str, object]:
-        """The catalogued ``sweep/v1`` spec backing this experiment
-        (every fig*/table* has one; see :mod:`repro.sweeps.catalog`)."""
+        """The catalogued ``sweep/v1`` spec backing this cell
+        experiment (see :mod:`repro.sweeps.catalog`)."""
         from repro.sweeps.catalog import get_sweep
 
         return get_sweep(self.experiment_id, fast=fast)
@@ -138,42 +146,34 @@ class Experiment(ABC):
         should_cancel=None,
         checkpoint=None,
     ) -> ExperimentResult:
-        """Run, fanning simulation cells across ``jobs`` processes when
-        the experiment decomposes; deterministic — results are merged in
-        plan order and are bit-identical to a sequential :meth:`run`.
+        """Run the experiment; the one dispatch every caller uses.
 
-        ``progress`` / ``should_cancel`` / ``checkpoint`` are the
-        engine's cell-boundary hooks (see
-        :func:`repro.engine.runner.run_cells`); they only take effect
-        when the experiment decomposes into cells.
+        A cell experiment's plan runs through
+        :func:`repro.engine.runner.run_cells` — fanned across ``jobs``
+        processes, with the engine's ``progress`` / ``should_cancel`` /
+        ``checkpoint`` cell-boundary hooks — and merges in plan order,
+        so any ``jobs`` value yields the same result.  An experiment
+        without a plan runs its own :meth:`run`; the hooks do not apply.
         """
-        if (
-            jobs > 1
-            or progress is not None
-            or should_cancel is not None
-            or checkpoint is not None
-        ):
-            plan = self.plan_cells(fast)
-            if plan is not None:
-                from repro.engine.runner import run_cells
-
-                results = run_cells(
-                    plan,
-                    jobs=jobs,
-                    store=self._store(store),
-                    progress=progress,
-                    should_cancel=should_cancel,
-                    checkpoint=checkpoint,
+        plan = self.plan_cells(fast)
+        if plan is None:
+            if type(self).run is Experiment.run:
+                raise NotImplementedError(
+                    f"{type(self).__name__} defines neither run() nor "
+                    "plan_cells()"
                 )
-                return self.merge_cells(plan, results, fast)
-        return self.run(store, fast=fast)
+            return self.run(store, fast=fast)
+        from repro.engine.runner import run_cells
 
-    def _run_cells(
-        self, cells: Sequence[SimCell], store: Optional[TraceStore]
-    ) -> List[CellResult]:
-        """Execute cells sequentially through the caller's store."""
-        store = self._store(store)
-        return [run_cell(cell, store) for cell in cells]
+        results = run_cells(
+            plan,
+            jobs=jobs,
+            store=self._store(store),
+            progress=progress,
+            should_cancel=should_cancel,
+            checkpoint=checkpoint,
+        )
+        return self.merge_cells(plan, results, fast)
 
     def _store(self, store: Optional[TraceStore]) -> TraceStore:
         return store if store is not None else shared_store

@@ -14,7 +14,7 @@ cores; the sequential run executes the identical cells in order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
@@ -22,7 +22,6 @@ from repro.experiments.common import (
     FVL_NAMES,
     reduction_percent,
 )
-from repro.workloads.store import TraceStore
 
 
 def _sizes(fast: bool) -> Sequence[int]:
@@ -66,9 +65,3 @@ class Fig10FvcSize(Experiment):
                 )
             rows.append(row)
         return self._result(headers, rows)
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

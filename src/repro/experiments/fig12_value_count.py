@@ -14,7 +14,7 @@ executes the identical cells in order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.engine.cells import CellResult, SimCell
@@ -26,7 +26,6 @@ from repro.experiments.common import (
     reduction_percent,
 )
 from repro.timing.cacti import DEFAULT_MODEL
-from repro.workloads.store import TraceStore
 
 _TOPS = (1, 3, 7)
 
@@ -90,9 +89,3 @@ class Fig12ValueCount(Experiment):
             "512-entry FVC)"
         )
         return result
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

@@ -15,12 +15,11 @@ fan-out; the sequential run executes the identical cells in order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.sweeps.catalog import FIG13_BENCHMARKS, FIG13_PAIRS
-from repro.workloads.store import TraceStore
 
 
 def _fvc_data_kb(line_bytes: int, code_bits: int, entries: int = 512) -> float:
@@ -99,9 +98,3 @@ class Fig13DmcVsFvc(Experiment):
             "(paper: in all pairings for these two benchmarks)"
         )
         return result
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

@@ -15,7 +15,7 @@ within an arm), fanned across ``--jobs`` and merged in plan order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
@@ -23,7 +23,6 @@ from repro.experiments.common import (
     FVL_NAMES,
     reduction_percent,
 )
-from repro.workloads.store import TraceStore
 
 
 def _ways_list(fast: bool):
@@ -84,9 +83,3 @@ class Fig14Associativity(Experiment):
             "the benefit collapsing under associativity"
         )
         return result
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

@@ -117,9 +117,6 @@ def run_experiment(
     Deterministic: any ``jobs`` value produces identical results, with
     or without a ``checkpoint``
     (:class:`repro.engine.checkpoint.RunCheckpoint`)."""
-    experiment = get_experiment(experiment_id)
-    if jobs > 1 or checkpoint is not None:
-        return experiment.run_with_engine(
-            store, fast=fast, jobs=jobs, checkpoint=checkpoint
-        )
-    return experiment.run(store, fast=fast)
+    return get_experiment(experiment_id).run_with_engine(
+        store, fast=fast, jobs=jobs, checkpoint=checkpoint
+    )

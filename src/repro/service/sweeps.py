@@ -31,17 +31,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.service.api import payload_bytes
 from repro.service.jobs import CANCELLED, DONE, FAILED
 from repro.sweeps.expand import SweepPoint, expand, unique_cells
-from repro.sweeps.runner import (
-    experiment_sweep_payload,
-    snapshots_for,
-    sweep_payload,
-)
-from repro.sweeps.spec import (
-    is_experiment_sweep,
-    normalise_sweep,
-    sweep_id,
-    sweep_result_key,
-)
+from repro.sweeps.runner import snapshots_for, sweep_payload
+from repro.sweeps.spec import normalise_sweep, sweep_id, sweep_result_key
 
 #: Cell-spec fields, SimCell order (mirrors repro.service.api).
 _CELL_FIELDS = (
@@ -72,7 +63,7 @@ class _SweepRecord:
         self.result_key = sweep_result_key(spec)
         self.points = points
         #: Distinct-cell job ids / result keys, expansion first-use
-        #: order (one entry for the whole run on experiment sweeps).
+        #: order.
         self.job_ids = job_ids
         self.job_keys = job_keys
         #: Assembled payload, set exactly once (board lock).
@@ -103,25 +94,13 @@ class SweepBoard:
         return spec
 
     def _submit_jobs(
-        self, spec: Dict[str, object], points: List[SweepPoint]
+        self, points: List[SweepPoint]
     ) -> Tuple[List[str], List[str]]:
-        """Enqueue the sweep's work as ordinary jobs; returns their
-        ids and result keys in expansion first-use order."""
+        """Enqueue the sweep's distinct cells as ordinary jobs; returns
+        their ids and result keys in expansion first-use order."""
         registry = self._service.registry
         job_ids: List[str] = []
         job_keys: List[str] = []
-        if is_experiment_sweep(spec):
-            arm = spec["arms"][0]
-            body, _status = self._service.submit(
-                {
-                    "type": "experiment",
-                    "experiment_id": arm["experiment_id"],
-                    "fast": arm["fast"],
-                }
-            )
-            job_ids.append(body["id"])
-            job_keys.append(body["result_key"])
-            return job_ids, job_keys
         distinct = unique_cells(points)
         registry.counter("sweep_cells_expanded_total").inc(len(distinct))
         for cell in distinct:
@@ -155,8 +134,8 @@ class SweepBoard:
             record.counted_done = True
             self._publish(sid, record)
             return self.view(sid), 200
-        points = [] if is_experiment_sweep(spec) else expand(spec)
-        job_ids, job_keys = self._submit_jobs(spec, points)
+        points = expand(spec)
+        job_ids, job_keys = self._submit_jobs(points)
         record = _SweepRecord(spec, points, job_ids, job_keys)
         self._publish(sid, record)
         return self.view(sid), 202
@@ -198,8 +177,6 @@ class SweepBoard:
             if payload is None:
                 return None
             payloads.append(payload)
-        if is_experiment_sweep(record.spec):
-            return experiment_sweep_payload(record.spec, payloads[0])
         by_cell = {}
         distinct = unique_cells(record.points)
         for cell, payload in zip(distinct, payloads):
@@ -267,8 +244,8 @@ class SweepBoard:
             if record.points
             else (record.payload or {}).get("points", 0),
             "distinct_cells": len(record.job_ids)
-            if not is_experiment_sweep(record.spec)
-            else 0,
+            if record.job_ids
+            else (record.payload or {}).get("distinct_cells", 0),
             "jobs": states,
         }
         if include_result and record.payload is not None:

@@ -5,8 +5,8 @@ x FVC value count x input scale — into a ``sweep/v1`` JSON document
 that expands deterministically into the engine's simulation cells and
 aggregates the results into a report table.  See ``docs/SWEEPS.md``
 for the grammar and semantics, :mod:`repro.sweeps.catalog` for the
-built-in studies (every fig*/table* experiment plus standalone
-sweeps), and ``repro.api.run_sweep`` for the stable entry point.
+built-in studies (the paper's cell grids plus standalone sweeps),
+and ``repro.api.run_sweep`` for the stable entry point.
 """
 
 from repro.sweeps.expand import SweepPoint, expand, expand_cells, unique_cells

@@ -1,22 +1,14 @@
-"""The built-in sweep catalog: every fig*/table* experiment expressed
-as a ``sweep/v1`` spec, plus standalone studies.
+"""The built-in sweep catalog: the paper's cell-grid studies as
+``sweep/v1`` specs.
 
-Two flavours live here:
-
-* **Cell sweeps** (fig10, fig12, fig13, fig14, ``l1_size_study``) —
-  the study is a grid of engine cells; the experiment's
-  ``plan_cells`` is *derived from the spec* through the expander, so
-  the declarative form and the imperative experiment can never drift.
-* **Experiment wrappers** (the remaining figures/tables) — studies
-  whose work is not a cell grid (occurrence profiling, per-miss
-  attribution, timing-model tables).  The spec declares the study's
-  axes descriptively and its reportable fields (= the experiment's
-  table columns); execution delegates to the registered experiment,
-  so the payload is the experiment's own ``repro.experiment/1`` bytes.
-
-``SWEEP001`` (:mod:`repro.analysis.rules.sweeps`) holds the registry
-to this catalog: every fig*/table* id must be backed here with
-non-empty reportable fields.
+Each entry (fig10, fig12, fig13, fig14, ``l1_size_study``) is a grid
+of engine cells.  The fig* experiments' ``plan_cells`` is *derived
+from the spec* through the expander, so the declarative form and the
+imperative experiment can never drift.  Studies whose work is not a
+cell grid (occurrence profiling, per-miss attribution, timing-model
+tables) are registry experiments only: run them with
+``repro-fvc run <id>``, :func:`repro.api.run_experiment` or
+``POST /v1/jobs``.
 """
 
 from __future__ import annotations
@@ -285,88 +277,6 @@ def _l1_size_study(fast: bool) -> Dict[str, object]:
     }
 
 
-#: Table columns of every experiment-wrapper sweep — the experiment's
-#: (fast-invariant) headers, declared as the study's reportable fields.
-#: Drift against the real tables is pinned by the regression suite.
-WRAPPER_FIELDS: Dict[str, List[str]] = {
-    "fig1": [
-        "benchmark",
-        "occ_top1_%", "occ_top3_%", "occ_top7_%", "occ_top10_%",
-        "acc_top1_%", "acc_top3_%", "acc_top7_%", "acc_top10_%",
-    ],
-    "fig2": [
-        "benchmark",
-        "occ_top1_%", "occ_top3_%", "occ_top7_%", "occ_top10_%",
-        "acc_top1_%", "acc_top3_%", "acc_top7_%", "acc_top10_%",
-    ],
-    "fig3": [
-        "accesses", "live_locs",
-        "locs_top1", "locs_top3", "locs_top7", "locs_top10",
-        "distinct_in_mem",
-        "acc_top1", "acc_top3", "acc_top7", "acc_top10",
-        "distinct_accessed",
-    ],
-    "fig4": [
-        "benchmark", "miss_rate_%",
-        "miss_top10_accessed_%", "miss_top10_occurring_%",
-    ],
-    "fig5": ["block", "freq_per_line"],
-    "fig9": ["structure", "config", "access_ns", "fvc512_fits"],
-    "fig11": [
-        "benchmark", "frequent_content_%", "storage_factor_x",
-        "fvc_read_hits", "fvc_write_hits",
-    ],
-    "fig15": [
-        "benchmark", "base_miss_%",
-        "vc16_red_%", "fvc128_red_%", "vc4_red_%", "fvc512_red_%",
-    ],
-    "table1": [
-        "rank",
-        "go_accessed", "go_occurring",
-        "m88ksim_accessed", "m88ksim_occurring",
-        "gcc_accessed", "gcc_occurring",
-        "li_accessed", "li_occurring",
-        "perl_accessed", "perl_occurring",
-        "vortex_accessed", "vortex_occurring",
-    ],
-    "table2": [
-        "benchmark", "test_top7", "test_top10", "train_top7", "train_top10",
-    ],
-    "table3": [
-        "benchmark", "accesses",
-        "order_top1_%", "order_top3_%", "order_top7_%",
-        "in_top10_top1_%", "in_top10_top3_%", "in_top10_top7_%",
-    ],
-    "table4": ["benchmark", "referenced", "constant", "constant_%"],
-}
-
-
-def _wrapper(experiment_id: str) -> Callable[[bool], Dict[str, object]]:
-    def build(fast: bool) -> Dict[str, object]:
-        from repro.experiments.registry import get_experiment
-
-        return {
-            "schema": SWEEP_SCHEMA,
-            "name": experiment_id,
-            "title": get_experiment(experiment_id).title,
-            "axes": {},
-            "arms": [
-                {
-                    "name": "experiment",
-                    "kind": "experiment",
-                    "experiment_id": experiment_id,
-                    "fast": fast,
-                }
-            ],
-            "report": {
-                "fields": list(WRAPPER_FIELDS[experiment_id]),
-                "aggregates": ["mean"],
-            },
-        }
-
-    return build
-
-
 #: name -> builder(fast) for every catalogued sweep.
 _BUILDERS: Dict[str, Callable[[bool], Dict[str, object]]] = {
     "fig10": _fig10,
@@ -375,9 +285,6 @@ _BUILDERS: Dict[str, Callable[[bool], Dict[str, object]]] = {
     "fig14": _fig14,
     "l1_size_study": _l1_size_study,
 }
-_BUILDERS.update(
-    {experiment_id: _wrapper(experiment_id) for experiment_id in WRAPPER_FIELDS}
-)
 
 
 def sweep_names() -> List[str]:
@@ -387,21 +294,20 @@ def sweep_names() -> List[str]:
 
 def get_sweep(name: str, fast: bool = False) -> Dict[str, object]:
     """The normalised catalogued spec, or :class:`SweepSpecError` for
-    an unknown name."""
+    an unknown name (pointing at ``repro-fvc run`` when the name is a
+    registered experiment rather than a sweep)."""
     builder = _BUILDERS.get(name)
     if builder is None:
+        from repro.experiments.registry import experiment_ids
+
+        if name in experiment_ids():
+            raise SweepSpecError(
+                f"{name!r} is an experiment, not a catalogued sweep: "
+                f"use 'repro-fvc run {name}', repro.api.run_experiment "
+                "or POST /v1/jobs"
+            )
         raise SweepSpecError(
             f"unknown catalogued sweep {name!r} "
             f"(known: {', '.join(sweep_names())})"
         )
     return normalise_sweep(builder(fast))
-
-
-def catalog_report_fields() -> Dict[str, List[str]]:
-    """``name -> declared report fields`` for every catalogued sweep —
-    what ``SWEEP001`` audits the experiment registry against.  Static:
-    reads the builders' declarations without running anything."""
-    fields: Dict[str, List[str]] = {}
-    for name in sweep_names():
-        fields[name] = list(get_sweep(name, fast=True)["report"]["fields"])
-    return fields

@@ -36,12 +36,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cells import SimCell
-from repro.sweeps.spec import (
-    AXIS_FIELDS,
-    IMPLICIT_FIELDS,
-    SweepSpecError,
-    is_experiment_sweep,
-)
+from repro.sweeps.spec import AXIS_FIELDS, IMPLICIT_FIELDS, SweepSpecError
 
 #: Axis names iterated outermost, in this order; all other axes follow
 #: alphabetically.
@@ -144,16 +139,7 @@ def _build_cell(
 
 
 def expand(spec: Dict[str, object]) -> List[SweepPoint]:
-    """Expand a normalised cell-sweep spec into its plan-order points.
-
-    Experiment-wrapper sweeps have no cell expansion; asking for one
-    is a caller error.
-    """
-    if is_experiment_sweep(spec):
-        raise SweepSpecError(
-            f"sweep {spec['name']!r} wraps experiment "
-            f"{spec['arms'][0]['experiment_id']!r} and has no cell expansion"
-        )
+    """Expand a normalised sweep spec into its plan-order points."""
     axes: Dict[str, List[object]] = spec["axes"]
     arms: Sequence[Dict[str, object]] = spec["arms"]
     per_arm = {arm["name"]: relevant_axes(spec, arm) for arm in arms}

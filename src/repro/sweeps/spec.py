@@ -36,8 +36,7 @@ Grammar (all unknown keys rejected)::
   arm whose kind uses the field.
 * **Arms** are the per-point simulations, in declared (and therefore
   plan) order.  ``kind`` is one of ``baseline`` / ``fvc`` /
-  ``classify`` (cell arms) or ``experiment`` (a whole registered
-  experiment).  A cell arm's ``cell`` mapping pins SimCell fields to
+  ``classify``.  An arm's ``cell`` mapping pins SimCell fields to
   literals or to axis references — ``"$axis"`` for a scalar axis,
   ``"$axis.component"`` for one component of an object axis; an
   explicit entry overrides the implicit name binding.
@@ -60,10 +59,8 @@ from repro.common.errors import ConfigurationError
 #: Schema tag every sweep spec must carry; bump on grammar change.
 SWEEP_SCHEMA = "sweep/v1"
 
-#: Arm kinds executed as engine cells.
-CELL_ARM_KINDS: Tuple[str, ...] = ("baseline", "fvc", "classify")
-#: All arm kinds (``experiment`` delegates to a registered experiment).
-ARM_KINDS: Tuple[str, ...] = CELL_ARM_KINDS + ("experiment",)
+#: Arm kinds; each arm executes as engine cells.
+ARM_KINDS: Tuple[str, ...] = ("baseline", "fvc", "classify")
 
 #: SimCell fields a spec may bind, axis-name -> cell-field.  The axis
 #: is called ``input`` (the paper's input-scale / replicate axis) even
@@ -97,7 +94,7 @@ IMPLICIT_FIELDS: Dict[str, Tuple[str, ...]] = {
 
 _INT_FIELDS = ("size_bytes", "line_bytes", "ways", "fvc_entries", "top_values")
 _TOP_KEYS = ("schema", "name", "title", "axes", "arms", "report")
-_ARM_KEYS = ("name", "kind", "cell", "experiment_id", "fast")
+_ARM_KEYS = ("name", "kind", "cell")
 _REPORT_KEYS = ("fields", "aggregates")
 
 #: Aggregation functions a spec may declare (see repro.sweeps.report).
@@ -196,6 +193,13 @@ def _normalise_arm(
     arm: object, index: int, axes: Dict[str, List[object]]
 ) -> Dict[str, object]:
     _require(isinstance(arm, dict), f"arm #{index} must be an object")
+    if arm.get("kind") == "experiment":
+        experiment_id = arm.get("experiment_id", "<id>")
+        raise SweepSpecError(
+            "experiment arms were removed; a sweep holds cell arms only. "
+            f"Run the experiment itself: 'repro-fvc run {experiment_id}', "
+            "repro.api.run_experiment or POST /v1/jobs"
+        )
     unknown = sorted(set(arm) - set(_ARM_KEYS))
     _require(not unknown, f"arm #{index} has unknown keys {unknown}")
     name = arm.get("name")
@@ -209,28 +213,6 @@ def _normalise_arm(
         f"arm {name!r} kind must be one of {sorted(ARM_KINDS)}, got {kind!r}",
     )
     out: Dict[str, object] = {"name": name, "kind": kind}
-    if kind == "experiment":
-        experiment_id = arm.get("experiment_id")
-        _require(
-            isinstance(experiment_id, str) and experiment_id != "",
-            f"experiment arm {name!r} needs an experiment_id",
-        )
-        _require(
-            "cell" not in arm,
-            f"experiment arm {name!r} cannot carry a cell mapping",
-        )
-        out["experiment_id"] = experiment_id
-        fast = arm.get("fast", False)
-        _require(
-            isinstance(fast, bool),
-            f"experiment arm {name!r} fast flag must be a boolean",
-        )
-        out["fast"] = fast
-        return out
-    _require(
-        "experiment_id" not in arm and "fast" not in arm,
-        f"cell arm {name!r} cannot carry experiment keys",
-    )
     cell = arm.get("cell", {})
     _require(isinstance(cell, dict), f"arm {name!r} cell must be an object")
     out_cell: Dict[str, object] = {}
@@ -261,9 +243,7 @@ def _normalise_arm(
     return out
 
 
-def _normalise_report(
-    report: object, cell_sweep: bool
-) -> Dict[str, object]:
+def _normalise_report(report: object) -> Dict[str, object]:
     from repro.sweeps.report import REPORT_FIELDS
 
     _require(isinstance(report, dict), "report must be an object")
@@ -279,13 +259,12 @@ def _normalise_report(
     _require(
         len(set(fields)) == len(fields), "report.fields has duplicates"
     )
-    if cell_sweep:
-        unknown_fields = sorted(set(fields) - set(REPORT_FIELDS))
-        _require(
-            not unknown_fields,
-            f"unknown report fields {unknown_fields} "
-            f"(known: {sorted(REPORT_FIELDS)})",
-        )
+    unknown_fields = sorted(set(fields) - set(REPORT_FIELDS))
+    _require(
+        not unknown_fields,
+        f"unknown report fields {unknown_fields} "
+        f"(known: {sorted(REPORT_FIELDS)})",
+    )
     aggregates = report.get("aggregates", ["mean"])
     _require(
         isinstance(aggregates, list)
@@ -339,35 +318,19 @@ def normalise_sweep(raw: object) -> Dict[str, object]:
     ]
     names = [arm["name"] for arm in arms]
     _require(len(set(names)) == len(names), "arm names must be unique")
-    kinds = {arm["kind"] for arm in arms}
-    if "experiment" in kinds:
-        _require(
-            len(arms) == 1,
-            "an experiment sweep wraps exactly one experiment arm",
-        )
-    else:
-        _require(
-            len(axes) > 0, "a cell sweep needs at least one axis"
-        )
+    _require(len(axes) > 0, "a sweep needs at least one axis")
     spec: Dict[str, object] = {
         "schema": SWEEP_SCHEMA,
         "name": name,
         "axes": axes,
         "arms": arms,
-        "report": _normalise_report(
-            raw.get("report"), cell_sweep="experiment" not in kinds
-        ),
+        "report": _normalise_report(raw.get("report")),
     }
     title = raw.get("title")
     if title is not None:
         _require(isinstance(title, str), "title must be a string")
         spec["title"] = title
     return spec
-
-
-def is_experiment_sweep(spec: Dict[str, object]) -> bool:
-    """Whether the (normalised) spec wraps a registered experiment."""
-    return spec["arms"][0]["kind"] == "experiment"
 
 
 def sweep_id(spec: Dict[str, object]) -> str:

@@ -225,7 +225,7 @@ class TestRuleScoping:
         from repro.analysis.rules import ALL_RULES
 
         codes = [rule.code for rule in ALL_RULES]
-        assert len(codes) == len(set(codes)) == 17
+        assert len(codes) == len(set(codes)) == 16
         assert all(rule.title for rule in ALL_RULES)
 
 

@@ -103,13 +103,15 @@ class TestRetiredTopLevelExports:
 
 
 class TestSweepFacade:
-    def test_list_sweeps_covers_every_gated_experiment(self):
+    def test_list_sweeps_is_the_cell_grids(self):
         names = api.list_sweeps()
-        assert names == sorted(names)
-        for experiment_id in api.list_experiments():
-            if experiment_id.startswith(("fig", "table")):
-                assert experiment_id in names
-        assert "l1_size_study" in names
+        assert names == ["fig10", "fig12", "fig13", "fig14", "l1_size_study"]
+
+    def test_run_sweep_of_an_experiment_names_replacement(self):
+        from repro.sweeps.spec import SweepSpecError
+
+        with pytest.raises(SweepSpecError, match="run fig1"):
+            api.run_sweep("fig1", fast=True)
 
     def test_describe_sweep_by_name(self):
         description = api.describe_sweep("l1_size_study", fast=True)

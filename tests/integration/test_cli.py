@@ -81,6 +81,24 @@ class TestJsonOutput:
         # Canonical form: sorted keys, 2-space indent, trailing newline.
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+    def test_run_rejects_spec_files(self, tmp_path, capsys):
+        # 'run' takes experiment ids only; a spec file would otherwise
+        # bypass --sanitize/--trace-out/--faults/--checkpoint.
+        spans = tmp_path / "spans.jsonl"
+        argv = [
+            "run", "examples/line_size_sweep.json", "--fast",
+            "--sanitize", "--trace-out", str(spans),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "repro-fvc sweep run examples/line_size_sweep.json" in err
+        assert "[sanitize]" not in err
+        assert not spans.exists()
+
+    def test_sweep_run_of_an_experiment_names_replacement(self, capsys):
+        assert main(["sweep", "run", "fig1", "--fast"]) == 2
+        assert "repro-fvc run fig1" in capsys.readouterr().err
+
     def test_run_json_excludes_csv_and_chart(self, capsys):
         assert main(["run", "fig9", "--fast", "--json", "--csv"]) == 2
         assert main(["run", "fig9", "--fast", "--json", "--chart"]) == 2

@@ -43,6 +43,27 @@ class TestSweepEndpoints:
         assert err.value.status == 400
         assert "sweep/v1" in str(err.value)
 
+    def test_experiment_arm_400_names_replacement(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit_sweep(
+                {
+                    "schema": "sweep/v1",
+                    "name": "fig9",
+                    "arms": [
+                        {
+                            "name": "experiment",
+                            "kind": "experiment",
+                            "experiment_id": "fig9",
+                            "fast": True,
+                        }
+                    ],
+                    "report": {"fields": ["structure"]},
+                }
+            )
+        assert err.value.status == 400
+        assert "sweep/v1" in str(err.value)
+        assert "POST /v1/jobs" in str(err.value)
+
     def test_unknown_sweep_404(self, client):
         with pytest.raises(ServiceError) as err:
             client.sweep("0" * 24)
@@ -93,18 +114,10 @@ class TestSweepEndpoints:
         # Same cell results, different sweep identity.
         assert done["result"]["sweep"]["name"] == "l1-size-study-copy"
 
-    def test_experiment_wrapper_sweep_round_trip(self, client):
-        spec = get_sweep("fig9", fast=True)
-        view = client.submit_sweep(spec)
-        done = client.wait_sweep(view["sweep_id"], timeout=120)
-        local = dumps_canonical(run_sweep(spec))
-        assert dumps_canonical(done["result"]) == local
-        assert done["result"]["experiment_id"] == "fig9"
-
     def test_listing_and_metrics(self, client):
         listing = client.sweeps()
         assert isinstance(listing["sweeps"], list)
-        assert len(listing["sweeps"]) >= 3
+        assert len(listing["sweeps"]) >= 2
         assert all("result" not in view for view in listing["sweeps"])
         metrics = client.metrics()["metrics"]
         for name in (
@@ -135,6 +148,8 @@ class TestSweepEndpoints:
             view = fresh_client.submit_sweep(spec)
             assert view["state"] == "done"
             assert view["jobs"] == {}
+            assert view["points"] == 12
+            assert view["distinct_cells"] == 12
             done = fresh_client.sweep(view["sweep_id"])
             assert dumps_canonical(done["result"]) == local
         finally:

@@ -1,50 +1,48 @@
 """The built-in sweep catalog against the experiment registry.
 
-Every ``fig*``/``table*`` experiment must be expressed as a catalogued
-sweep (what SWEEP001 lints statically, asserted here semantically),
-cell sweeps must plan exactly what their experiments plan, and wrapper
-sweeps must declare exactly the experiment's table columns.
+The catalog holds exactly the paper's cell grids: every registered
+experiment that plans cells must have a catalogued sweep whose
+expansion is exactly its plan, and every other experiment is run
+through the registry, never as a sweep.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.sweeps.catalog import (
-    WRAPPER_FIELDS,
-    catalog_report_fields,
-    get_sweep,
-    sweep_names,
-)
+from repro.experiments.registry import experiment_ids, get_experiment
+from repro.sweeps.catalog import get_sweep, sweep_names
 from repro.sweeps.expand import expand_cells
-from repro.sweeps.spec import SweepSpecError, is_experiment_sweep
+from repro.sweeps.spec import SweepSpecError
 
-GATED = sorted(
+CELL_SWEEPS = ("fig10", "fig12", "fig13", "fig14", "l1_size_study")
+#: Registered experiments with a cell plan, from the registry itself.
+CELL_EXPERIMENTS = [
     experiment_id
-    for experiment_id in EXPERIMENTS
-    if experiment_id.startswith(("fig", "table"))
-)
-CELL_SWEEPS = ("fig10", "fig12", "fig13", "fig14")
-GOLDEN_DIR = Path(__file__).parent.parent / "experiments" / "golden"
+    for experiment_id in experiment_ids()
+    if get_experiment(experiment_id).plan_cells(fast=True) is not None
+]
 
 
 class TestCoverage:
-    def test_every_gated_experiment_is_catalogued(self):
-        names = sweep_names()
-        for experiment_id in GATED:
-            assert experiment_id in names
+    def test_catalog_is_exactly_the_cell_sweeps(self):
+        assert sweep_names() == sorted(CELL_SWEEPS)
 
     def test_report_fields_always_non_empty(self):
-        for name, fields in catalog_report_fields().items():
+        for name in sweep_names():
+            fields = get_sweep(name, fast=True)["report"]["fields"]
             assert fields, f"sweep {name!r} declares no fields"
 
     def test_unknown_name_rejected_with_catalog(self):
         with pytest.raises(SweepSpecError, match="l1_size_study"):
             get_sweep("fig99")
+
+    def test_experiment_id_rejected_with_replacement(self):
+        with pytest.raises(SweepSpecError, match="run fig1") as err:
+            get_sweep("fig1")
+        assert "POST /v1/jobs" in str(err.value)
 
     def test_specs_are_normalised_and_json_clean(self):
         for name in sweep_names():
@@ -57,9 +55,14 @@ class TestCoverage:
 
 
 class TestCellSweepsMatchExperiments:
-    @pytest.mark.parametrize("experiment_id", CELL_SWEEPS)
+    def test_cell_experiments_found(self):
+        # The parametrization below must not silently shrink to nothing.
+        assert {"fig10", "fig12", "fig13", "fig14"} <= set(CELL_EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment_id", CELL_EXPERIMENTS)
     @pytest.mark.parametrize("fast", (True, False))
     def test_expansion_equals_experiment_plan(self, experiment_id, fast):
+        # A new cell experiment without a catalogued sweep fails here.
         spec = get_sweep(experiment_id, fast=fast)
         planned = get_experiment(experiment_id).plan_cells(fast=fast)
         assert expand_cells(spec) == planned
@@ -69,29 +72,3 @@ class TestCellSweepsMatchExperiments:
         assert experiment.sweep_backing(fast=True) == get_sweep(
             "fig10", fast=True
         )
-
-
-class TestWrapperSweeps:
-    def test_wrappers_cover_exactly_the_non_cell_experiments(self):
-        assert sorted(WRAPPER_FIELDS) == sorted(
-            set(GATED) - set(CELL_SWEEPS)
-        )
-
-    @pytest.mark.parametrize("experiment_id", sorted(WRAPPER_FIELDS))
-    def test_fields_match_the_golden_table_headers(self, experiment_id):
-        golden = json.loads(
-            (GOLDEN_DIR / f"{experiment_id}.json").read_text(
-                encoding="utf-8"
-            )
-        )
-        assert WRAPPER_FIELDS[experiment_id] == golden["headers"]
-
-    @pytest.mark.parametrize("experiment_id", sorted(WRAPPER_FIELDS))
-    def test_wrapper_arm_shape(self, experiment_id):
-        for fast in (False, True):
-            spec = get_sweep(experiment_id, fast=fast)
-            assert is_experiment_sweep(spec)
-            arm = spec["arms"][0]
-            assert arm["experiment_id"] == experiment_id
-            assert arm["fast"] is fast
-            assert spec["axes"] == {}

@@ -273,25 +273,6 @@ class TestBindings:
                 )
             )
 
-    def test_experiment_sweep_has_no_expansion(self):
-        spec = normalise_sweep(
-            {
-                "schema": "sweep/v1",
-                "name": "wrapper",
-                "axes": {},
-                "arms": [
-                    {
-                        "name": "experiment",
-                        "kind": "experiment",
-                        "experiment_id": "fig9",
-                    }
-                ],
-                "report": {"fields": ["structure"], "aggregates": ["mean"]},
-            }
-        )
-        with pytest.raises(SweepSpecError, match="no cell expansion"):
-            expand(spec)
-
 
 class TestHelpers:
     def test_unique_cells_first_occurrence_order(self):

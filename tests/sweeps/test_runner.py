@@ -1,4 +1,4 @@
-"""Local sweep execution: payload shape, jobs-identity, wrappers."""
+"""Local sweep execution: payload shape, jobs-identity."""
 
 from __future__ import annotations
 
@@ -69,17 +69,6 @@ class TestRunSweep:
         fanned = dumps_canonical(run_sweep(spec, store=store, jobs=4))
         assert sequential == fanned
 
-    def test_experiment_wrapper_payload(self, store):
-        spec = get_sweep("fig9", fast=True)
-        payload = run_sweep(spec, store=store)
-        assert payload["schema"] == "sweep.result/1"
-        assert payload["experiment_id"] == "fig9"
-        assert payload["distinct_cells"] == 0
-        assert payload["points"] == 1
-        assert payload["headers"] == spec["report"]["fields"]
-        assert payload["rows"]
-        assert isinstance(payload["notes"], list)
-
 
 class TestDescribeSweep:
     def test_cell_sweep_description(self):
@@ -93,12 +82,6 @@ class TestDescribeSweep:
             "workload": 2,
         }
         assert description["arms"] == ["base", "fvc"]
-
-    def test_wrapper_description(self):
-        description = describe_sweep(get_sweep("table1", fast=True))
-        assert description["experiment_id"] == "table1"
-        assert description["points"] == 1
-        assert description["distinct_cells"] == 0
 
 
 class TestL1SizeStudy:

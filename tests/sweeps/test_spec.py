@@ -173,35 +173,13 @@ class TestValidation:
             "aggregates",
         )
 
-    def test_experiment_sweep_single_arm_only(self):
-        rejects(
-            minimal_spec(
-                axes={},
-                arms=[
-                    {
-                        "name": "a",
-                        "kind": "experiment",
-                        "experiment_id": "fig9",
-                    },
-                    {
-                        "name": "b",
-                        "kind": "experiment",
-                        "experiment_id": "fig9",
-                    },
-                ],
-            ),
-            "exactly one experiment arm",
-        )
-
     def test_cell_sweep_needs_an_axis(self):
         rejects(minimal_spec(axes={}), "at least one axis")
 
-    def test_experiment_arm_free_form_fields(self):
-        # Wrapper sweeps report the experiment's own table columns,
-        # which are not engine cell fields.
-        spec = normalise_sweep(
+    def test_experiment_arm_rejected_with_replacement(self):
+        # Whole experiments run through the registry, not as sweeps.
+        error = rejects(
             minimal_spec(
-                axes={},
                 arms=[
                     {
                         "name": "experiment",
@@ -210,13 +188,11 @@ class TestValidation:
                         "fast": True,
                     }
                 ],
-                report={
-                    "fields": ["structure", "access_ns"],
-                    "aggregates": ["mean"],
-                },
-            )
+            ),
+            "experiment arms were removed",
         )
-        assert spec["arms"][0]["fast"] is True
+        assert "repro-fvc run fig9" in str(error)
+        assert "POST /v1/jobs" in str(error)
 
 
 class TestIdentity:
