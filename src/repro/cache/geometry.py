@@ -15,10 +15,22 @@ class CacheGeometry:
     All three quantities must be powers of two, matching the paper's
     configurations (DMC of 4–64 KB, lines of 16/32/64 bytes, 1/2/4 ways).
 
-    The derived fields give the address decomposition used by every
+    The derived attributes give the address decomposition used by every
     simulator: a byte address ``a`` maps to line address ``a >>
     line_shift``, set index ``line_addr & (num_sets - 1)``, and tag
     ``line_addr >> set_shift``.
+
+    Derived shape (set once at construction):
+
+    * ``num_lines`` — total number of lines in the cache;
+    * ``num_sets`` — number of sets (lines / ways);
+    * ``words_per_line`` — words in one line;
+    * ``line_shift`` — right shift turning a byte address into a line
+      address;
+    * ``set_shift`` — right shift turning a line address into a tag;
+    * ``set_mask`` — mask selecting the set index from a line address;
+    * ``word_mask`` — mask selecting the word-in-line index from a word
+      address.
     """
 
     size_bytes: int
@@ -40,42 +52,24 @@ class CacheGeometry:
                 "cache must hold at least one full set "
                 f"(size={self.size_bytes}, line={self.line_bytes}, ways={self.ways})"
             )
-
-    # Derived shape ------------------------------------------------------
-    @property
-    def num_lines(self) -> int:
-        """Total number of lines in the cache."""
-        return self.size_bytes // self.line_bytes
-
-    @property
-    def num_sets(self) -> int:
-        """Number of sets (lines / ways)."""
-        return self.num_lines // self.ways
-
-    @property
-    def words_per_line(self) -> int:
-        """Words in one line."""
-        return self.line_bytes // WORD_BYTES
-
-    @property
-    def line_shift(self) -> int:
-        """Right shift turning a byte address into a line address."""
-        return log2_int(self.line_bytes)
-
-    @property
-    def set_shift(self) -> int:
-        """Right shift turning a line address into a tag."""
-        return log2_int(self.num_sets)
-
-    @property
-    def set_mask(self) -> int:
-        """Mask selecting the set index from a line address."""
-        return self.num_sets - 1
-
-    @property
-    def word_mask(self) -> int:
-        """Mask selecting the word-in-line index from a word address."""
-        return self.words_per_line - 1
+        # Derived shape, computed once: the simulators read these on
+        # every access.  Plain attributes, not fields, so equality,
+        # hashing, repr, asdict() and replace() see only the three
+        # defining quantities.
+        num_lines = self.size_bytes // self.line_bytes
+        num_sets = num_lines // self.ways
+        words_per_line = self.line_bytes // WORD_BYTES
+        derived = {
+            "num_lines": num_lines,
+            "num_sets": num_sets,
+            "words_per_line": words_per_line,
+            "line_shift": log2_int(self.line_bytes),
+            "set_shift": log2_int(num_sets),
+            "set_mask": num_sets - 1,
+            "word_mask": words_per_line - 1,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # Address helpers ------------------------------------------------------
     def line_address(self, byte_addr: int) -> int:

@@ -96,6 +96,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.experiment != "all":
+        from repro.common.errors import ConfigurationError
+
+        try:
+            get_experiment(args.experiment)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     fast = args.fast or args.scale == "test"
     if args.sanitize:

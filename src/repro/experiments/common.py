@@ -17,7 +17,10 @@ from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.system import FvcSystem, FvcSystemConfig
 from repro.kernels import dispatch
 from repro.profiling.access import AccessProfile, profile_accessed_values
+from repro.profiling.occurrence import OccurrenceProfile, profile_occurring_values
 from repro.trace.trace import Trace
+from repro.workloads.registry import get_workload
+from repro.workloads.store import TraceStore
 
 #: The six FVL benchmarks, paper presentation order.
 FVL_NAMES: Tuple[str, ...] = ("go", "m88ksim", "gcc", "li", "perl", "vortex")
@@ -63,6 +66,26 @@ def _profile(trace: Trace) -> AccessProfile:
                 total_accesses=total, distinct_values=distinct, ranked=ranked
             )
     return profile_accessed_values(trace)
+
+
+def occurrence_profile(
+    store: TraceStore, name: str, input_name: str, fast: bool
+) -> OccurrenceProfile:
+    """Memoised occurrence profile of one workload run.
+
+    Sampling live memory re-executes the workload, so the profile is
+    memoised on the store's trace of the same run (key
+    ``occurrence@<interval>``): experiments sharing a store share one
+    execution, and the entry leaves memory with the trace when the
+    store's LRU evicts it.
+    """
+    interval = 10_000 if fast else 40_000
+    return store.get(name, input_name).memo(
+        f"occurrence@{interval}",
+        lambda _trace: profile_occurring_values(
+            get_workload(name), input_name, sample_interval=interval
+        ),
+    )
 
 
 def encoder_for(trace: Trace, top_values: int) -> FrequentValueEncoder:

@@ -12,9 +12,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import INT_NAMES, access_profile, input_for
-from repro.profiling.occurrence import profile_occurring_values
-from repro.workloads.registry import get_workload
+from repro.experiments.common import (
+    INT_NAMES,
+    access_profile,
+    input_for,
+    occurrence_profile,
+)
 from repro.workloads.store import TraceStore
 
 _DEPTHS = (1, 3, 7, 10)
@@ -40,12 +43,7 @@ class Fig01FrequentValues(Experiment):
         headers += [f"acc_top{k}_%" for k in _DEPTHS]
         rows = []
         for name in self.names:
-            workload = get_workload(name)
-            occurrence = profile_occurring_values(
-                workload,
-                input_name,
-                sample_interval=10_000 if fast else 40_000,
-            )
+            occurrence = occurrence_profile(store, name, input_name, fast)
             profile = access_profile(store.get(name, input_name))
             row = {"benchmark": name}
             for k in _DEPTHS:

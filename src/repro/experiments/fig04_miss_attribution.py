@@ -14,9 +14,12 @@ from typing import Optional
 from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import FVL_NAMES, access_profile, input_for
-from repro.profiling.occurrence import profile_occurring_values
-from repro.workloads.registry import get_workload
+from repro.experiments.common import (
+    FVL_NAMES,
+    access_profile,
+    input_for,
+    occurrence_profile,
+)
 from repro.workloads.store import TraceStore
 
 
@@ -43,16 +46,13 @@ class Fig04MissAttribution(Experiment):
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
             accessed = set(access_profile(trace).top_values(10))
-            occurrence = profile_occurring_values(
-                get_workload(name),
-                input_name,
-                sample_interval=10_000 if fast else 40_000,
+            occurring = set(
+                occurrence_profile(store, name, input_name, fast).top_values(10)
             )
-            occurring = set(occurrence.top_values(10))
-            cache = DirectMappedCache(geometry)
+            access = DirectMappedCache(geometry).access
             misses = miss_accessed = miss_occurring = 0
-            for op, address, value in trace.records:
-                if cache.access(op, address):
+            for op, address, value in zip(trace.ops, trace.addrs, trace.values):
+                if access(op, address):
                     continue
                 misses += 1
                 if value in accessed:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import input_for
-from repro.profiling.occurrence import profile_occurring_values
+from repro.experiments.common import input_for, occurrence_profile
 from repro.profiling.spatial import profile_spatial_distribution
 from repro.workloads.registry import get_workload
 from repro.workloads.store import TraceStore
@@ -48,10 +47,9 @@ class Fig05Spatial(Experiment):
         workload = get_workload(self.workload_name)
         trace = store.get(self.workload_name, input_name)
 
-        occurrence = profile_occurring_values(
-            workload, input_name, sample_interval=10_000 if fast else 40_000
-        )
-        frequent = occurrence.top_values(7)
+        frequent = occurrence_profile(
+            store, self.workload_name, input_name, fast
+        ).top_values(7)
 
         snapshot = _MidpointSnapshot()
         workload.execute(

@@ -12,9 +12,12 @@ from typing import Optional
 
 from repro.common.words import word_to_hex
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import FVL_NAMES, access_profile, input_for
-from repro.profiling.occurrence import profile_occurring_values
-from repro.workloads.registry import get_workload
+from repro.experiments.common import (
+    FVL_NAMES,
+    access_profile,
+    input_for,
+    occurrence_profile,
+)
 from repro.workloads.store import TraceStore
 
 
@@ -39,12 +42,9 @@ class Table1TopValues(Experiment):
         overlaps = []
         for name in FVL_NAMES:
             accessed = access_profile(store.get(name, input_name)).top_values(10)
-            occurrence = profile_occurring_values(
-                get_workload(name),
-                input_name,
-                sample_interval=10_000 if fast else 40_000,
-            )
-            occurring = occurrence.top_values(10)
+            occurring = occurrence_profile(
+                store, name, input_name, fast
+            ).top_values(10)
             columns[f"{name}_accessed"] = [word_to_hex(v) for v in accessed]
             columns[f"{name}_occurring"] = [word_to_hex(v) for v in occurring]
             overlaps.append(len(set(accessed) & set(occurring)))

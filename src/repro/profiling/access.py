@@ -52,9 +52,7 @@ def profile_accessed_values(
     covers every study in the paper (which never looks past the top 10).
     """
     counter = ExactTopK()
-    add = counter.add
-    for _, _, value in trace.records:
-        add(value)
+    counter.add_many(trace.values)
     return AccessProfile(
         total_accesses=counter.total,
         distinct_values=counter.distinct,

@@ -40,7 +40,7 @@ def profile_constancy(trace: Trace) -> ConstancyResult:
     """
     first_value: Dict[int, int] = {}
     mutated: set = set()
-    for _, address, value in trace.records:
+    for address, value in zip(trace.addrs, trace.values):
         known = first_value.get(address)
         if known is None:
             first_value[address] = value

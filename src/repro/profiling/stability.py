@@ -12,6 +12,7 @@ Two measurements, both taken at regular checkpoints over the trace:
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -43,26 +44,37 @@ def profile_stability(
     """Measure when each top-``k`` ranking stabilises over ``trace``."""
     if checkpoints <= 0:
         raise ValueError("need at least one checkpoint")
-    records = trace.records
-    if not records:
+    values = trace.values
+    total = len(values)
+    if not total:
         raise ValueError("cannot measure stability of an empty trace")
     ks = sorted(set(ks))
     deepest = max(max(ks), membership_window)
 
-    step = max(1, len(records) // checkpoints)
+    step = max(1, total // checkpoints)
     counts: Counter = Counter()
+
+    def rank_key(value: int) -> Tuple[int, int]:
+        return (-counts[value], value)
+
     # Per-checkpoint ordered prefix of the running ranking.
     snapshots: List[Tuple[int, ...]] = []
     positions: List[int] = []
-    for start in range(0, len(records), step):
-        for record in records[start : start + step]:
-            counts[record[2]] += 1
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        snapshots.append(tuple(value for value, _ in ranked[:deepest]))
-        positions.append(min(start + step, len(records)))
+    top: Tuple[int, ...] = ()
+    for start in range(0, total, step):
+        chunk = values[start : start + step]
+        counts.update(chunk)
+        # Counts only grow, so a value neither in the previous top nor
+        # in this chunk is still outranked by every previous top member
+        # (and a top shorter than ``deepest`` held every value seen):
+        # the new top is drawn from those two sets alone.
+        candidates = set(chunk)
+        candidates.update(top)
+        top = tuple(heapq.nsmallest(deepest, candidates, key=rank_key))
+        snapshots.append(top)
+        positions.append(min(start + step, total))
 
     final = snapshots[-1]
-    total = len(records)
 
     order_stable: Dict[int, float] = {}
     membership_stable: Dict[int, float] = {}

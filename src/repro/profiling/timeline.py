@@ -58,14 +58,14 @@ def profile_timeline(
     by_count = {s.access_count: s for s in occurrence.samples}
 
     points: List[TimelinePoint] = []
-    records = trace.records
+    values = trace.values
     position = 0
     covered = [0] * len(depths)
     seen_values: set = set()
     for checkpoint in checkpoints:
-        limit = min(checkpoint, len(records))
+        limit = min(checkpoint, len(values))
         while position < limit:
-            value = records[position][2]
+            value = values[position]
             seen_values.add(value)
             for index, wanted in enumerate(accessed_sets):
                 if value in wanted:

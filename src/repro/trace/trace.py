@@ -28,9 +28,10 @@ class Trace:
     1, address and value in 32 bits) once, so no consumer re-checks it.
 
     :attr:`records` is the same data as ``(op, address, value)`` tuples
-    for the simulators and profilers that walk records; it is built on
-    first use and cached.  A trace built from a record list keeps that
-    list as the cache.  Traces are never mutated after construction.
+    for the oracle simulators that walk records (the profilers read the
+    columns); it is built on first use and cached.  A trace built from
+    a record list keeps that list as the cache.  Traces are never
+    mutated after construction.
     """
 
     __slots__ = (
@@ -144,9 +145,12 @@ class Trace:
         """Memoise ``compute(self)`` on the trace, keyed by ``key``.
 
         For derived values that are pure functions of the accesses (e.g.
-        access-value profiles).  The entry lives exactly as long as the
-        trace — unlike an external ``id()``-keyed table, which can hand
-        a recycled id another trace's result.
+        access-value profiles), or of the deterministic workload run
+        that recorded the trace (e.g. occurrence profiles, which sample
+        live memory while re-executing that run).  The entry lives
+        exactly as long as the trace — unlike an external
+        ``id()``-keyed table, which can hand a recycled id another
+        trace's result.
         """
         cached = self._aggregates.get(key)
         if cached is None:

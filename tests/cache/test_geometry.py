@@ -1,5 +1,7 @@
 """Tests for cache geometry and address decomposition."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +29,69 @@ class TestDerivedShape:
         assert (
             CacheGeometry(4 * 32, 32, 4).describe() == "0KB/32B/fully-assoc"
         )
+
+
+_SHAPES = [
+    (size, line, ways)
+    for size in (64, 1024, 16 * 1024, 64 * 1024)
+    for line in (4, 16, 32, 64)
+    for ways in (1, 2, 4, 8)
+    if size >= line * ways
+]
+
+
+class TestDerivedConstants:
+    """The shape constants are computed once at construction; they
+    must equal their defining formulas and stay invisible to the
+    dataclass machinery."""
+
+    @pytest.mark.parametrize("size,line,ways", _SHAPES)
+    def test_constants_equal_formulas(self, size, line, ways):
+        geometry = CacheGeometry(size, line, ways)
+        num_lines = size // line
+        num_sets = num_lines // ways
+        words_per_line = line // 4
+        assert geometry.num_lines == num_lines
+        assert geometry.num_sets == num_sets
+        assert geometry.words_per_line == words_per_line
+        assert 1 << geometry.line_shift == line
+        assert 1 << geometry.set_shift == num_sets
+        assert geometry.set_mask == num_sets - 1
+        assert geometry.word_mask == words_per_line - 1
+
+    @pytest.mark.parametrize("size,line,ways", _SHAPES)
+    def test_dataclass_surface_unchanged(self, size, line, ways):
+        geometry = CacheGeometry(size, line, ways)
+        twin = CacheGeometry(size, line, ways)
+        assert geometry == twin
+        assert hash(geometry) == hash((size, line, ways))
+        assert repr(geometry) == (
+            f"CacheGeometry(size_bytes={size}, line_bytes={line}, ways={ways})"
+        )
+        assert dataclasses.asdict(geometry) == {
+            "size_bytes": size,
+            "line_bytes": line,
+            "ways": ways,
+        }
+        assert [f.name for f in dataclasses.fields(geometry)] == [
+            "size_bytes",
+            "line_bytes",
+            "ways",
+        ]
+        assert dataclasses.replace(geometry) == geometry
+
+    def test_replace_rederives_constants(self):
+        geometry = CacheGeometry(16 * 1024, 32)
+        wider = dataclasses.replace(geometry, ways=4)
+        assert wider.num_sets == 128
+        assert wider.set_mask == 127
+        assert wider.set_shift == 7
+        assert geometry.num_sets == 512
+
+    def test_constants_are_frozen(self):
+        geometry = CacheGeometry(16 * 1024, 32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geometry.set_mask = 0
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Tests for the shared experiment plumbing."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cache.geometry import CacheGeometry
@@ -13,9 +15,27 @@ from repro.experiments.common import (
     encoder_for,
     fvc_stats,
     input_for,
+    occurrence_profile,
     reduction_percent,
 )
+from repro.experiments.registry import get_experiment
 from repro.trace.synth import zipf_value_trace
+from repro.workloads.base import Workload
+from repro.workloads.store import TraceStore
+
+
+@pytest.fixture
+def execute_runs(monkeypatch):
+    """Counts ``Workload.execute`` calls by workload name."""
+    runs = Counter()
+    execute = Workload.execute
+
+    def counting_execute(workload, *args, **kwargs):
+        runs[workload.name] += 1
+        return execute(workload, *args, **kwargs)
+
+    monkeypatch.setattr(Workload, "execute", counting_execute)
+    return runs
 
 
 class TestConstants:
@@ -44,6 +64,24 @@ class TestProfiles:
         encoder = encoder_for(trace, 3)
         assert encoder.code_bits == 2
         assert {7, 8, 9} & set(encoder.values)
+
+    def test_occurrence_profile_memoised_on_the_trace(self, execute_runs):
+        store = TraceStore()
+        trace = store.get("go", "test")
+        execute_runs.clear()
+        first = occurrence_profile(store, "go", "test", fast=True)
+        assert occurrence_profile(store, "go", "test", fast=True) is first
+        assert trace.memo("occurrence@10000", lambda _trace: None) is first
+        assert execute_runs == Counter({"go": 1})
+
+    def test_fig4_then_table1_execute_each_workload_once(self, execute_runs):
+        store = TraceStore()
+        for name in FVL_NAMES:
+            store.get(name, "test")
+        execute_runs.clear()
+        get_experiment("fig4").run(store, fast=True)
+        get_experiment("table1").run(store, fast=True)
+        assert execute_runs == Counter({name: 1 for name in FVL_NAMES})
 
     def test_encoder_width_by_count(self):
         trace = zipf_value_trace(1000, seed=2)

@@ -95,6 +95,13 @@ class TestJsonOutput:
         assert "[sanitize]" not in err
         assert not spans.exists()
 
+    def test_run_unknown_experiment_is_one_error_line(self, capsys):
+        assert main(["run", "fig99", "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'fig99'")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_sweep_run_of_an_experiment_names_replacement(self, capsys):
         assert main(["sweep", "run", "fig1", "--fast"]) == 2
         assert "repro-fvc run fig1" in capsys.readouterr().err
